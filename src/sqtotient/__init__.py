@@ -29,10 +29,8 @@ from .core_arith import (
     divisor_count,
     euler_phi,
     factorize,
-    gcd,
     is_prime,
     jordan_totient,
-    mod_pow,
 )
 from .menon import (
     MenonRow,
@@ -44,7 +42,6 @@ from .menon import (
     psi_table,
 )
 from .phi import (
-    PhiQuery,
     phi_k,
     phi_k_brute,
     phi_k_prime_power,
@@ -85,7 +82,6 @@ __all__ = [
     "GkCoefficient",
     "LebesgueTerms",
     "MenonRow",
-    "PhiQuery",
     "PsiScanRow",
     "ResidueVector",
     "SUITES",
@@ -102,14 +98,12 @@ __all__ = [
     "euler_phi",
     "factorize",
     "g_k_table",
-    "gcd",
     "is_prime",
     "jordan_totient",
     "menon_classic",
     "menon_lhs",
     "menon_lhs_brute",
     "minimal_order_scan",
-    "mod_pow",
     "partial_sum",
     "phi_k",
     "phi_k_brute",

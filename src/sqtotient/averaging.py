@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
 
@@ -108,61 +107,53 @@ class ConvolutionReport:
     first_mismatch: tuple[int, int, int] | None  # (n, expected phi_k, convolution)
 
 
-def _table_values(k: int, lo: int, hi: int, spf, cache: dict) -> list[int]:
-    # factor each n independently off the SPF table so chunks are order-free
-    out = []
-    for n in range(lo, hi):
-        value = 1
-        m = n
-        while m > 1:
-            p = int(spf[m])
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            block = cache.get((p, e))
-            if block is None:
-                block = phi_k_prime_power(k, p, e)
+def _multiplicative_table(limit: int, spf, local) -> list[int]:
+    """values[n] = f(n) for n <= limit, f multiplicative with f(p^e) = local(p, e).
+
+    One pass over n: with p = spf[n] and p^e the exact power of p dividing
+    n, f(n) = f(n / p^e) * f(p^e), and n / p^e < n is already filled. A
+    prime above sqrt(limit) is the smallest factor only of itself, so only
+    the blocks of smaller primes are cached. Slot 0 is a placeholder.
+    """
+    values = [0] * (limit + 1)
+    values[1] = 1
+    cache: dict[tuple[int, int], int] = {}
+    for n in range(2, limit + 1):
+        p = int(spf[n])
+        m = n // p
+        e = 1
+        while m % p == 0:
+            m //= p
+            e += 1
+        block = cache.get((p, e))
+        if block is None:
+            block = local(p, e)
+            if p * p <= limit:
                 cache[(p, e)] = block
-            value *= block
-        out.append(value)
-    return out
+        values[n] = values[m] * block
+    return values
 
 
-def phi_k_table(
-    k: int,
-    x: int,
-    threads: int = 1,
-    table: SpfTable | None = None,
-) -> list[int]:
+def _spf(limit: int, table: SpfTable | None):
+    # the sieve array to walk, or None when there is nothing to factor
+    if limit < 2:
+        return None
+    if table is None or table.limit < limit:
+        table = build_spf(limit)
+    return table.spf
+
+
+def phi_k_table(k: int, x: int, table: SpfTable | None = None) -> list[int]:
     """Exact phi_k(n) for all n <= x, indexed by n (slot 0 is a placeholder).
 
-    Factors every entry through one SPF sieve pass instead of per-value
-    trial division. Chunks are independent, so the optional thread pool
-    changes nothing about the result, only the scheduling.
+    Built from the prime-power values through one SPF sieve pass instead of
+    per-value trial division.
     """
     if k < 1:
         raise ValueError(f"tuple length must be >= 1, got {k}")
     if x < 1:
         raise ValueError(f"range end must be >= 1, got {x}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    if x == 1:
-        return [0, 1]
-    if table is None or table.limit < x:
-        table = build_spf(x)
-    spf = table.spf
-    cache: dict[tuple[int, int], int] = {}
-    if threads == 1:
-        return [0, 1] + _table_values(k, 2, x + 1, spf, cache)
-    chunk = max(1024, (x - 1) // (threads * 8) + 1)
-    spans = [(lo, min(lo + chunk, x + 1)) for lo in range(2, x + 1, chunk)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda s: _table_values(k, s[0], s[1], spf, cache), spans))
-    values = [0, 1]
-    for part in parts:  # merge strictly in span order
-        values.extend(part)
-    return values
+    return _multiplicative_table(x, _spf(x, table), lambda p, e: phi_k_prime_power(k, p, e))
 
 
 def partial_sum(k: int, x: int, table: SpfTable | None = None) -> int:
@@ -203,9 +194,16 @@ def _pulled_out_base(k: int, p) -> mp.mpf:
     return (1 - 1 / p**2) * (1 - mp.mpf(sign) / p**m)
 
 
-def _assemble(prefactor, residual_at, decay: int, tol, start_bound: int):
-    """Truncated residual product with a certified two-sided tail bound."""
-    p_bound = start_bound
+def _assemble(prefactor, residual_at, decay: int, tol: float, prime_bound: int | None):
+    """Truncated residual product with a certified two-sided tail bound.
+
+    Without ``prime_bound`` the bound doubles from 64 until the tail is
+    below ``tol``; with it, the product stops there whatever the tail.
+    """
+    if prime_bound is None:
+        tol, p_bound = mp.mpf(tol), 64
+    else:
+        tol, p_bound = mp.inf, prime_bound
     while _residual_tail(p_bound, decay) * 4 > tol:
         p_bound *= 2
     while True:
@@ -246,12 +244,7 @@ def euler_constant(k: int, tol: float = 1e-9, prime_bound: int | None = None) ->
         def residual(p):
             return _product_factor(k, p) / _pulled_out_base(k, p)
 
-        if prime_bound is None:
-            value, p_used, tail = _assemble(prefactor, residual, m + 1, mp.mpf(tol), 64)
-        else:
-            value, p_used, tail = _assemble(
-                prefactor, residual, m + 1, mp.inf, prime_bound
-            )
+        value, p_used, tail = _assemble(prefactor, residual, m + 1, tol, prime_bound)
         return EulerConstant(k=k, value=value, prime_bound=p_used, tail_bound=tail)
 
 
@@ -289,10 +282,7 @@ def corollary_constant(k: int, tol: float = 1e-9, prime_bound: int | None = None
                 )
 
             decay = 4
-        if prime_bound is None:
-            value, p_used, tail = _assemble(prefactor, residual, decay, mp.mpf(tol), 64)
-        else:
-            value, p_used, tail = _assemble(prefactor, residual, decay, mp.inf, prime_bound)
+        value, p_used, tail = _assemble(prefactor, residual, decay, tol, prime_bound)
         return EulerConstant(k=k, value=value, prime_bound=p_used, tail_bound=tail)
 
 
@@ -306,31 +296,15 @@ def g_k_table(k: int, limit: int, table: SpfTable | None = None) -> GkCoefficien
         raise ValueError(f"the convolution decomposition is used for even k, got {k}")
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    values = [0] * (limit + 1)
-    values[1] = 1
-    if limit >= 2:
-        if table is None or table.limit < limit:
-            table = build_spf(limit)
-        spf = table.spf
-        prime_value: dict[int, int] = {}
-        for n in range(2, limit + 1):
-            value = 1
-            m = n
-            while m > 1 and value:
-                p = int(spf[m])
-                m //= p
-                if m % p == 0:
-                    value = 0  # p^2 | n
-                    break
-                gp = prime_value.get(p)
-                if gp is None:
-                    if p == 2:
-                        gp = -(2 ** (k - 1))
-                    else:
-                        gp = -(p ** (k - 1)) - even_k_sign(k, p) * p ** (k // 2 - 1) * (p - 1)
-                    prime_value[p] = gp
-                value *= gp
-            values[n] = value
+
+    def local(p: int, e: int) -> int:
+        if e > 1:
+            return 0
+        if p == 2:
+            return -(2 ** (k - 1))
+        return -(p ** (k - 1)) - even_k_sign(k, p) * p ** (k // 2 - 1) * (p - 1)
+
+    values = _multiplicative_table(limit, _spf(limit, table), local)
     return GkCoefficient(k=k, limit=limit, values=tuple(values))
 
 
@@ -368,7 +342,6 @@ def averaging_report(
     xs: list[int],
     tol: float = 1e-9,
     table: SpfTable | None = None,
-    threads: int = 1,
 ) -> list[AveragingRow]:
     """Measure exact partial sums against the main term C_k x^(k+1)/(k+1).
 
@@ -384,7 +357,7 @@ def averaging_report(
         raise ValueError("range ends must be ascending")
     constant = euler_constant(k, tol)
     top = xs[-1]
-    values = phi_k_table(k, top, table=table, threads=threads)
+    values = phi_k_table(k, top, table=table)
     rows = []
     with mp.workdps(_WORK_DPS):
         running = 0

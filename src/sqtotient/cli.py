@@ -32,7 +32,6 @@ def output_options(command):
             help="Output rendering.",
         ),
         click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write output to a file instead of stdout."),
-        click.option("--threads", type=click.IntRange(1, 256), default=1, show_default=True, help="Worker threads for bulk table building (results are identical at any setting)."),
         click.option("--no-meta", is_flag=True, help="Omit the generation-time header so output is byte-reproducible."),
     ):
         command = option(command)
@@ -82,7 +81,7 @@ def main():
 @click.option("--range", "range_end", type=int, default=None, help="Evaluate every modulus 1..X via the sieve table.")
 @output_options
 @guard_errors
-def phi_command(k, n, range_end, fmt, out, threads, no_meta):
+def phi_command(k, n, range_end, fmt, out, no_meta):
     """Evaluate the square-sum totient at one modulus or over a range."""
     k = _int64(k, "-k")
     if (n is None) == (range_end is None):
@@ -98,7 +97,7 @@ def phi_command(k, n, range_end, fmt, out, threads, no_meta):
             _emit(render([{"k": k, "n": n, "phi": value}], ["k", "n", "phi"], fmt, meta), out)
         return
     range_end = _int64(range_end, "--range")
-    values = averaging.phi_k_table(k, range_end, threads=threads)
+    values = averaging.phi_k_table(k, range_end)
     rows = [{"k": k, "n": n_, "phi": values[n_]} for n_ in range(1, range_end + 1)]
     _emit(render(rows, ["k", "n", "phi"], fmt, meta), out)
 
@@ -107,10 +106,10 @@ def phi_command(k, n, range_end, fmt, out, threads, no_meta):
 @click.option("-k", "--k", "k", type=int, required=True, help="Tuple length.")
 @click.option("-l", "--lam", "lam", type=int, required=True, help="Target residue class.")
 @click.option("-n", "--n", "n", type=int, required=True, help="Modulus.")
-@click.option("--max-enum", type=int, default=DEFAULT_GUARD, show_default=True, help="Tuple budget for the enumeration fallback.")
+@click.option("--max-enum", type=click.IntRange(1, INT64_MAX), default=DEFAULT_GUARD, show_default=True, help="Tuple budget for the enumeration fallback.")
 @output_options
 @guard_errors
-def rho_command(k, lam, n, max_enum, fmt, out, threads, no_meta):
+def rho_command(k, lam, n, max_enum, fmt, out, no_meta):
     """Count tuples whose square sum hits one residue class."""
     k = _int64(k, "-k")
     n = _int64(n, "-n")
@@ -127,10 +126,10 @@ def rho_command(k, lam, n, max_enum, fmt, out, threads, no_meta):
 @main.command("verify")
 @click.argument("suite", type=click.Choice(sorted(verify.SUITES)))
 @click.option("--limit", type=click.IntRange(1, INT64_MAX), default=50, show_default=True, help="Range bound handed to the suite.")
-@click.option("--max-enum", type=int, default=DEFAULT_GUARD, show_default=True, help="Tuple budget for enumeration oracles.")
+@click.option("--max-enum", type=click.IntRange(1, INT64_MAX), default=DEFAULT_GUARD, show_default=True, help="Tuple budget for enumeration oracles.")
 @output_options
 @guard_errors
-def verify_command(suite, limit, max_enum, fmt, out, threads, no_meta):
+def verify_command(suite, limit, max_enum, fmt, out, no_meta):
     """Run a property suite; exit 0 only if every check passes."""
     result = verify.run_suite(suite, limit, guard=max_enum)
     rows = [
@@ -155,7 +154,7 @@ def verify_command(suite, limit, max_enum, fmt, out, threads, no_meta):
 @click.option("--bound", type=click.IntRange(1, INT64_MAX), default=60, show_default=True, help="Product bound for the multiplicativity scan.")
 @output_options
 @guard_errors
-def report_command(kind, k, xs, tol, prime_count, experimental, nmax, bound, fmt, out, threads, no_meta):
+def report_command(kind, k, xs, tol, prime_count, experimental, nmax, bound, fmt, out, no_meta):
     """Generate a machine-readable report (deterministic with --no-meta)."""
     meta = not no_meta
     if kind == "average":
@@ -167,7 +166,7 @@ def report_command(kind, k, xs, tol, prime_count, experimental, nmax, bound, fmt
         except ValueError as exc:
             raise click.UsageError(f"--xs must be comma-separated integers: {exc}")
         try:
-            rows = averaging.averaging_report(k, ends, tol=tol, threads=threads)
+            rows = averaging.averaging_report(k, ends, tol=tol)
         except ValueError as exc:
             raise click.UsageError(str(exc))
         records = [

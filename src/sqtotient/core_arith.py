@@ -1,9 +1,9 @@
 """Exact integer arithmetic substrate: factorization, sieves, totients.
 
 Everything here works with unbounded Python integers; nothing ever wraps
-silently. Bulk callers factor through an SPF (smallest prime factor) table,
-one-off callers get trial division up to a fixed bound followed by
-Miller-Rabin plus Brent-style rho splitting for anything larger.
+silently. Bulk tables walk an SPF (smallest prime factor) sieve; single
+values get trial division up to a fixed bound followed by Miller-Rabin plus
+Brent-style rho splitting for anything larger.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ __all__ = [
     "build_spf",
     "factorize",
     "as_factorization",
-    "gcd",
-    "mod_pow",
     "is_prime",
     "euler_phi",
     "jordan_totient",
@@ -98,15 +96,6 @@ def build_spf(limit: int) -> SpfTable:
     return SpfTable(limit=limit, spf=spf)
 
 
-def mod_pow(base: int, exponent: int, modulus: int) -> int:
-    """base**exponent mod modulus, for modulus >= 1."""
-    if modulus < 1:
-        raise ValueError(f"mod_pow requires modulus >= 1, got {modulus}")
-    if exponent < 0:
-        raise ValueError("negative exponents are not supported")
-    return pow(base, exponent, modulus)
-
-
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test (certified for n < 2^64)."""
     if n < 2:
@@ -177,53 +166,41 @@ def _split(n: int, out: dict[int, int]):
     _split(n // d, out)
 
 
-def factorize(n: int, table: SpfTable | None = None) -> Factorization:
+def factorize(n: int) -> Factorization:
     """Factor n >= 1 into its canonical prime-power decomposition.
 
-    Uses the SPF table when one is supplied and n fits, otherwise trial
-    division up to 10^6 followed by Miller-Rabin and rho splitting. Output
-    is deterministic for a given n.
+    Trial division up to 10^6, then Miller-Rabin and rho splitting on the
+    cofactor. Output is deterministic for a given n.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     if n == 1:
         return Factorization(1, ())
     counts: dict[int, int] = {}
-    if table is not None and n <= table.limit:
-        spf = table.spf
-        m = n
-        while m > 1:
-            p = int(spf[m])
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            counts[p] = e
-    else:
-        m = n
-        while m % 2 == 0:
-            m //= 2
-            counts[2] = counts.get(2, 0) + 1
-        d = 3
-        while d <= _TRIAL_BOUND and d * d <= m:
-            while m % d == 0:
-                m //= d
-                counts[d] = counts.get(d, 0) + 1
-            d += 2
-        if m > 1:
-            if m <= _TRIAL_BOUND * _TRIAL_BOUND or is_prime(m):
-                # no divisor <= 10^6, so below 10^12 the cofactor is prime
-                counts[m] = counts.get(m, 0) + 1
-            else:
-                _split(m, counts)
+    m = n
+    while m % 2 == 0:
+        m //= 2
+        counts[2] = counts.get(2, 0) + 1
+    d = 3
+    while d <= _TRIAL_BOUND and d * d <= m:
+        while m % d == 0:
+            m //= d
+            counts[d] = counts.get(d, 0) + 1
+        d += 2
+    if m > 1:
+        if m <= _TRIAL_BOUND * _TRIAL_BOUND or is_prime(m):
+            # no divisor <= 10^6, so below 10^12 the cofactor is prime
+            counts[m] = counts.get(m, 0) + 1
+        else:
+            _split(m, counts)
     return Factorization(n, tuple(sorted(counts.items())))
 
 
-def as_factorization(x: int | Factorization, table: SpfTable | None = None) -> Factorization:
+def as_factorization(x: int | Factorization) -> Factorization:
     """Coerce an int (or pass through a Factorization) for the totient ops."""
     if isinstance(x, Factorization):
         return x
-    return factorize(x, table)
+    return factorize(x)
 
 
 def euler_phi(f: int | Factorization) -> int:

@@ -16,7 +16,6 @@ Jordan-totient route for 4 | k cross-check the closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -26,7 +25,6 @@ from .core_arith import Factorization, as_factorization, euler_phi, jordan_totie
 from .rho import DEFAULT_GUARD, rho, sum_of_squares_census
 
 __all__ = [
-    "PhiQuery",
     "phi_k_brute",
     "phi_k_via_rho",
     "phi_k_prime_power",
@@ -37,28 +35,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PhiQuery:
-    """A (tuple length, modulus) evaluation request."""
-
-    k: int
-    n: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"tuple length must be >= 1, got {self.k}")
-        if self.n < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.n}")
-
-
-def _query(q: PhiQuery | tuple[int, int]) -> PhiQuery:
-    # routes plain (k, n) pairs through the same invariant checks
-    if isinstance(q, PhiQuery):
-        return q
-    k, n = q
-    return PhiQuery(k, n)
-
-
 def even_k_sign(k: int, p: int) -> int:
     """(-1)^(k(p-1)/4) for even k and odd p, as an exact +/-1."""
     if k % 2 or p % 2 == 0:
@@ -66,20 +42,19 @@ def even_k_sign(k: int, p: int) -> int:
     return -1 if ((k // 2) * ((p - 1) // 2)) % 2 else 1
 
 
-def phi_k_brute(q: PhiQuery | tuple[int, int], guard: int = DEFAULT_GUARD) -> int:
+def phi_k_brute(k: int, n: int, guard: int = DEFAULT_GUARD) -> int:
     """Exhaustive count of tuples whose square sum is a unit mod n."""
-    q = _query(q)
-    census = sum_of_squares_census(q.k, q.n, guard)
-    units = np.array([gcd(r, q.n) == 1 for r in range(q.n)])
+    census = sum_of_squares_census(k, n, guard)
+    units = np.array([gcd(r, n) == 1 for r in range(n)])
     return int(census[units].sum())
 
 
-def phi_k_via_rho(q: PhiQuery | tuple[int, int]) -> int:
+def phi_k_via_rho(k: int, n: int) -> int:
     """Sum of residue-class counts over the units of Z/nZ."""
-    q = _query(q)
-    if q.n == 1:
-        return 1
-    return sum(rho(q.k, lam, q.n) for lam in range(1, q.n + 1) if gcd(lam, q.n) == 1)
+    if n < 1:
+        raise ValueError(f"modulus must be >= 1, got {n}")
+    # lam = 0 is the unit class when n = 1
+    return sum(rho(k, lam, n) for lam in range(n) if gcd(lam, n) == 1)
 
 
 def phi_k_prime_power(k: int, p: int, r: int) -> int:

@@ -220,8 +220,8 @@ def verify_phi(limit: int, guard: int = DEFAULT_GUARD, k_max: int = 4) -> SuiteR
             if n**k > guard:
                 break
             closed = phi_k(k, n)
-            brute = phi_k_brute((k, n), guard)
-            via = phi_k_via_rho((k, n))
+            brute = phi_k_brute(k, n, guard)
+            via = phi_k_via_rho(k, n)
             if not closed == brute == via:
                 failure = f"k={k} n={n}: closed {closed}, enumerated {brute}, residue-sum {via}"
                 break

@@ -57,7 +57,7 @@ def test_criterion_01_three_route_oracle_equivalence():
             if n**k > GUARD:
                 continue
             closed = phi_k(k, n)
-            if phi_k_brute((k, n), GUARD) != closed or phi_k_via_rho((k, n)) != closed:
+            if phi_k_brute(k, n, GUARD) != closed or phi_k_via_rho(k, n) != closed:
                 bad = f"k={k} n={n}"
                 break
         if bad:

@@ -61,6 +61,11 @@ class TestRhoCommand:
         assert result.exit_code == 3
         assert "budget" in result.output
 
+    def test_max_enum_must_be_positive(self, runner):
+        for budget in ("0", "-1"):
+            assert run(runner, "rho", "-k", "2", "-l", "0", "-n", "5", "--max-enum", budget).exit_code == 2
+            assert run(runner, "verify", "rho", "--limit", "1", "--max-enum", budget).exit_code == 2
+
     def test_json_fields(self, runner):
         result = run(runner, "rho", "-k", "1", "-l", "1", "-n", "8", "--format", "json", "--no-meta")
         document = json.loads(result.output)

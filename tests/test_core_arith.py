@@ -1,6 +1,7 @@
 """Factorization, sieve, and classical totient checks."""
 
 import math
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +13,8 @@ from sqtotient import (
     divisor_count,
     euler_phi,
     factorize,
-    gcd,
     is_prime,
     jordan_totient,
-    mod_pow,
 )
 from conftest import naive_is_prime
 
@@ -53,14 +52,10 @@ class TestFactorize:
         with pytest.raises(ValueError):
             factorize(0)
 
-    def test_reconstruction_exhaustive_to_1e5(self, spf_100k):
+    def test_reconstruction_exhaustive_to_1e5(self):
         for n in range(1, 100_001):
-            f = factorize(n, spf_100k)
+            f = factorize(n)
             assert math.prod(p**e for p, e in f.factors) == n
-
-    def test_table_and_direct_agree(self, spf_100k):
-        for n in (2, 97, 360, 1024, 99991, 2 * 3 * 5 * 7 * 11 * 13):
-            assert factorize(n, spf_100k) == factorize(n)
 
     def test_rho_splitting_beyond_trial_division(self):
         # both primes exceed the trial-division bound, forcing the splitter
@@ -122,18 +117,6 @@ class TestGcd:
         forward = reduce(gcd, values)
         backward = reduce(gcd, reversed(values))
         assert forward == backward
-
-
-class TestModPow:
-    def test_examples(self):
-        assert mod_pow(2, 10, 1000) == 24
-        assert mod_pow(5, 0, 7) == 1
-        # Euler criterion: 3 = 4^2 mod 13 is a quadratic residue
-        assert mod_pow(3, (13 - 1) // 2, 13) == 1
-
-    def test_zero_modulus_rejected(self):
-        with pytest.raises(ValueError):
-            mod_pow(2, 3, 0)
 
 
 class TestTotients:

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqtotient import (
-    PhiQuery,
     euler_phi,
     phi_k,
     phi_k_brute,
@@ -23,27 +22,27 @@ from conftest import naive_phi_k
 class TestOracles:
     def test_first_order_is_euler_totient(self):
         for n in range(1, 51):
-            assert phi_k_brute((1, n)) == euler_phi(n)
-            assert phi_k_via_rho((1, n)) == euler_phi(n)
+            assert phi_k_brute(1, n) == euler_phi(n)
+            assert phi_k_via_rho(1, n) == euler_phi(n)
             assert phi_k(1, n) == euler_phi(n)
 
     def test_examples(self):
-        assert phi_k_brute((2, 3)) == 8
-        assert phi_k_brute((2, 5)) == 16
-        assert phi_k_via_rho((2, 4)) == 8
-        assert phi_k_via_rho((1, 1)) == 1
-        assert phi_k_via_rho((3, 9)) == phi_k_brute((3, 9)) == 486
+        assert phi_k_brute(2, 3) == 8
+        assert phi_k_brute(2, 5) == 16
+        assert phi_k_via_rho(2, 4) == 8
+        assert phi_k_via_rho(1, 1) == 1
+        assert phi_k_via_rho(3, 9) == phi_k_brute(3, 9) == 486
 
     def test_brute_matches_naive(self):
         for n in range(1, 13):
             for k in range(1, 4):
-                assert phi_k_brute((k, n)) == naive_phi_k(k, n)
+                assert phi_k_brute(k, n) == naive_phi_k(k, n)
 
     def test_query_invariants(self):
         with pytest.raises(ValueError):
-            PhiQuery(0, 5)
+            phi_k_brute(0, 5)
         with pytest.raises(ValueError):
-            phi_k_brute((2, 0))
+            phi_k_brute(2, 0)
 
     def test_three_routes_agree(self):
         for n in range(1, 41):
@@ -51,16 +50,16 @@ class TestOracles:
                 if n**k > 10**7:
                     continue
                 expected = phi_k(k, n)
-                assert phi_k_brute((k, n)) == expected, (k, n)
-                assert phi_k_via_rho((k, n)) == expected, (k, n)
+                assert phi_k_brute(k, n) == expected, (k, n)
+                assert phi_k_via_rho(k, n) == expected, (k, n)
 
     def test_three_routes_agree_fifth_order(self):
         for n in range(1, 41):
             if n**5 > 10**8:
                 break
             expected = phi_k(5, n)
-            assert phi_k_brute((5, n)) == expected, n
-            assert phi_k_via_rho((5, n)) == expected, n
+            assert phi_k_brute(5, n) == expected, n
+            assert phi_k_via_rho(5, n) == expected, n
 
 
 class TestPrimePower:
