@@ -33,7 +33,7 @@ import mpmath as mp
 
 from .core_arith import SpfTable, build_spf, primes_upto
 from .phi import even_k_sign, phi_k_prime_power
-from .rho import BudgetExceededError
+from .rho import BudgetExceededError, _check_output_bits
 
 __all__ = [
     "EulerConstant",
@@ -55,6 +55,10 @@ __all__ = [
 _C_LOG = 1.4
 
 _WORK_DPS = 30
+
+# Largest sieve an Euler product may ask primes_upto for: about 17 MB of
+# flags and a million primes, 128 times the 2^17 that tol 3e-10 needs.
+_MAX_PRIME_BOUND = 1 << 24
 
 _MAX_PRIMORIAL_PRIMES = 10_000
 
@@ -153,6 +157,7 @@ def phi_k_table(k: int, x: int, table: SpfTable | None = None) -> list[int]:
         raise ValueError(f"tuple length must be >= 1, got {k}")
     if x < 1:
         raise ValueError(f"range end must be >= 1, got {x}")
+    _check_output_bits(k, ((x, 1),), "phi_k_table")
     return _multiplicative_table(x, _spf(x, table), lambda p, e: phi_k_prime_power(k, p, e))
 
 
@@ -198,7 +203,8 @@ def _assemble(prefactor, residual_at, decay: int, tol: float, prime_bound: int |
     """Truncated residual product with a certified two-sided tail bound.
 
     Without ``prime_bound`` the bound doubles from 64 until the tail is
-    below ``tol``; with it, the product stops there whatever the tail.
+    below ``tol``; with it, the product stops there whatever the tail. A
+    bound above _MAX_PRIME_BOUND is refused before its sieve is built.
     """
     if prime_bound is None:
         tol, p_bound = mp.mpf(tol), 64
@@ -207,6 +213,8 @@ def _assemble(prefactor, residual_at, decay: int, tol: float, prime_bound: int |
     while _residual_tail(p_bound, decay) * 4 > tol:
         p_bound *= 2
     while True:
+        if p_bound > _MAX_PRIME_BOUND:
+            raise BudgetExceededError(p_bound, _MAX_PRIME_BOUND, "Euler-product prime bound")
         log_acc = mp.mpf(0)
         for p in primes_upto(p_bound):
             if p == 2:

@@ -16,7 +16,7 @@ import click
 from . import averaging, menon, verify
 from .phi import phi_k
 from .reporting import FORMATS, render
-from .rho import DEFAULT_GUARD, BudgetExceededError, rho
+from .rho import DEFAULT_GUARD, MAX_OUTPUT_BITS, BudgetExceededError, rho
 
 INT64_MAX = 2**63 - 1
 
@@ -73,6 +73,11 @@ def _int64(value: int, name: str, minimum: int = 1) -> int:
 @click.version_option(package_name="sqtotient")
 def main():
     """Exact counts of tuples with invertible square sums modulo n."""
+    # Python refuses to print an int of more than 4300 digits by default
+    # (since 3.10.7); every count the output-size guard lets through must
+    # still print
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(MAX_OUTPUT_BITS // 3 + 2)
 
 
 @main.command("phi")

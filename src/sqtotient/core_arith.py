@@ -26,9 +26,9 @@ __all__ = [
     "primes_upto",
 ]
 
-# Trial division handles everything below this bound squared; beyond that we
-# switch to Miller-Rabin + rho splitting.
-_TRIAL_BOUND = 10**6
+# Trial division stops at this bound: a cofactor below its square is then
+# prime, and anything larger goes to Miller-Rabin + rho splitting.
+_TRIAL_BOUND = 1000
 
 # Witness set is deterministic for all n < 3.317e24, which comfortably covers
 # the 64-bit inputs this package promises to certify.
@@ -155,6 +155,14 @@ def _brent_rho(n: int) -> int:
     raise ArithmeticError(f"rho failed to split {n}")  # unreachable for composite n
 
 
+def _certified(n: int, factors: tuple[tuple[int, int], ...]) -> Factorization:
+    """A Factorization whose primes were just certified here, built unchecked."""
+    f = object.__new__(Factorization)
+    object.__setattr__(f, "n", n)
+    object.__setattr__(f, "factors", factors)
+    return f
+
+
 def _split(n: int, out: dict[int, int]):
     if n == 1:
         return
@@ -169,13 +177,13 @@ def _split(n: int, out: dict[int, int]):
 def factorize(n: int) -> Factorization:
     """Factor n >= 1 into its canonical prime-power decomposition.
 
-    Trial division up to 10^6, then Miller-Rabin and rho splitting on the
-    cofactor. Output is deterministic for a given n.
+    Trial division up to 1000, then Miller-Rabin on the cofactor and Brent
+    rho splitting if it is composite. Output is deterministic for a given n.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     if n == 1:
-        return Factorization(1, ())
+        return _certified(1, ())
     counts: dict[int, int] = {}
     m = n
     while m % 2 == 0:
@@ -189,11 +197,11 @@ def factorize(n: int) -> Factorization:
         d += 2
     if m > 1:
         if m <= _TRIAL_BOUND * _TRIAL_BOUND or is_prime(m):
-            # no divisor <= 10^6, so below 10^12 the cofactor is prime
+            # no divisor up to the trial bound, so below its square m is prime
             counts[m] = counts.get(m, 0) + 1
         else:
             _split(m, counts)
-    return Factorization(n, tuple(sorted(counts.items())))
+    return _certified(n, tuple(sorted(counts.items())))
 
 
 def as_factorization(x: int | Factorization) -> Factorization:

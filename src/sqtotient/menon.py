@@ -3,14 +3,17 @@
 The classical identity sums gcd(j - 1, n) over the units j of Z/nZ and
 equals phi(n) d(n). Its square-sum analogue sums gcd(x_1^2+...+x_k^2 - 1, n)
 over tuples whose square sum is a unit; dividing by phi_k(n) yields a
-candidate cofactor psi_k whose integrality and multiplicativity are open
-for k >= 2, so the scans here emit exact rationals and assert nothing in
-that regime (k = 1 reduces to the classical j^2 - 1 cofactor, which is
-multiplicative, and is asserted).
+cofactor psi_k. Both the sum and phi_k split over the prime powers of n
+(Chinese remainder theorem), so psi_k is multiplicative. Its integrality
+is open (the data show integers at k = 2 and 4, fractions at k = 3, 5, 6),
+so the scans emit it as an exact rational (k = 1 reduces to the classical
+j^2 - 1 cofactor).
 
 The tuple sum is never enumerated directly on the main path: grouping
 tuples by their square sum lambda turns the n^k-term sum into
-sum over units lambda of rho(k, lambda, n) * gcd(lambda - 1, n).
+sum over units lambda of rho(k, lambda, n) * gcd(lambda - 1, n), and both
+factors of each term split over the prime powers p^e of n, so the sum is
+the product over p^e of the same sum taken modulo p^e.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .core_arith import as_factorization, divisor_count, euler_phi
+from .core_arith import Factorization, as_factorization, divisor_count, euler_phi, factorize
 from .phi import phi_k
-from .rho import DEFAULT_GUARD, rho, sum_of_squares_census
+from .rho import DEFAULT_GUARD, _check_output_bits, _unit_count, sum_of_squares_census
 
 __all__ = [
     "MenonRow",
@@ -73,20 +76,25 @@ def menon_classic(n: int) -> tuple[int, int]:
 def menon_lhs(k: int, n: int) -> int:
     """Gcd-sum over tuples with invertible square sum, via residue classes.
 
-    Costs one rho evaluation per unit residue instead of n^k tuples, so no
-    enumeration guard is involved.
+    Factors n once and costs one rho evaluation per unit of each prime-power
+    block p^e instead of n^k tuples, so no enumeration guard is involved.
     """
     if k < 1:
         raise ValueError(f"tuple length must be >= 1, got {k}")
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
-    if n == 1:
-        return 1
-    return sum(
-        rho(k, lam, n) * gcd(lam - 1, n)
-        for lam in range(1, n + 1)
-        if gcd(lam, n) == 1
-    )
+    return _menon_lhs(k, factorize(n))
+
+
+def _menon_lhs(k: int, f: Factorization) -> int:
+    _check_output_bits(k, f.factors, "menon_lhs")
+    result = 1
+    for p, e in f.factors:
+        q = p**e
+        result *= sum(
+            _unit_count(k, lam, p, e) * gcd(lam - 1, q) for lam in range(1, q) if lam % p
+        )
+    return result
 
 
 def menon_lhs_brute(k: int, n: int, guard: int = DEFAULT_GUARD) -> int:
@@ -104,7 +112,8 @@ def menon_lhs_brute(k: int, n: int, guard: int = DEFAULT_GUARD) -> int:
 
 
 def _psi(k: int, n: int) -> Fraction:
-    return Fraction(menon_lhs(k, n), phi_k(k, n))
+    f = factorize(n)
+    return Fraction(_menon_lhs(k, f), phi_k(k, f))
 
 
 def psi_table(k: int, n_max: int) -> list[MenonRow]:
@@ -117,8 +126,9 @@ def psi_table(k: int, n_max: int) -> list[MenonRow]:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     rows = []
     for n in range(1, n_max + 1):
-        lhs = menon_lhs(k, n)
-        value = phi_k(k, n)
+        f = factorize(n)
+        lhs = _menon_lhs(k, f)
+        value = phi_k(k, f)
         psi = Fraction(lhs, value)
         rows.append(
             MenonRow(
@@ -137,9 +147,9 @@ def psi_multiplicativity_scan(k: int, bound: int) -> list[PsiScanRow]:
     """Compare psi_k(m) psi_k(n) with psi_k(mn) over coprime pairs.
 
     Emits every pair 1 <= m <= n with gcd(m, n) = 1 and mn <= bound, in
-    lexicographic order. For k = 1 the cofactor is the classical
-    multiplicative one, so any mismatch is an internal error; for k >= 2
-    the rows are conjecture data and nothing is asserted.
+    lexicographic order. psi_k is multiplicative for every k (both the
+    gcd-sum and phi_k split over prime powers), so any mismatch is an
+    internal error.
     """
     if k < 1:
         raise ValueError(f"tuple length must be >= 1, got {k}")
@@ -162,10 +172,8 @@ def psi_multiplicativity_scan(k: int, bound: int) -> list[PsiScanRow]:
             separate = psi(m) * psi(n)
             combined = psi(m * n)
             equal = separate == combined
-            if k == 1 and not equal:
-                raise ArithmeticError(
-                    f"classical cofactor failed multiplicativity at ({m}, {n})"
-                )
+            if not equal:
+                raise ArithmeticError(f"psi_{k} failed multiplicativity at ({m}, {n})")
             rows.append(
                 PsiScanRow(m=m, n=n, separate=separate, combined=combined, equal=equal)
             )

@@ -22,7 +22,7 @@ from math import gcd
 import numpy as np
 
 from .core_arith import Factorization, as_factorization, euler_phi, jordan_totient
-from .rho import DEFAULT_GUARD, rho, sum_of_squares_census
+from .rho import DEFAULT_GUARD, _check_output_bits, rho, sum_of_squares_census
 
 __all__ = [
     "phi_k_brute",
@@ -76,6 +76,7 @@ def phi_k(k: int, f: int | Factorization) -> int:
     if k < 1:
         raise ValueError(f"tuple length must be >= 1, got {k}")
     f = as_factorization(f)
+    _check_output_bits(k, f.factors, "phi_k")
     result = 1
     for p, e in f.factors:
         result *= phi_k_prime_power(k, p, e)

@@ -62,17 +62,29 @@ _LEVEL_CAP = 1 << 22
 # the cost is O(k * n^2) big-int operations.
 _RECURRENCE_CAP = 1024
 
+# Largest count, in bits, that a closed form may build. -k reaches 2^63 - 1
+# on the CLI and a count near n^k has about k log2 n bits; at this cap it
+# still renders as decimal in about two seconds.
+MAX_OUTPUT_BITS = 1 << 20
+
 
 class BudgetExceededError(RuntimeError):
-    """Raised when a computation would exceed its resource budget."""
+    """Raised when a computation would exceed its resource budget.
 
-    def __init__(self, required: int, budget: int, what: str):
+    ``hint`` says how to raise the budget, for the budgets a caller sets.
+    """
+
+    def __init__(self, required: int, budget: int, what: str, hint: str = ""):
         self.required = required
         self.budget = budget
-        super().__init__(
-            f"{what} needs a budget of {required}, over the limit of {budget}; "
-            f"raise the guard to at least {required} to run it"
-        )
+        super().__init__(f"{what} needs a budget of {required}, over the limit of {budget}{hint}")
+
+
+def _check_output_bits(k: int, factors, what: str) -> None:
+    """Refuse a count of about n^k, n = prod p^e, before building it."""
+    bits = k * sum(e * p.bit_length() for p, e in factors)
+    if bits > MAX_OUTPUT_BITS:
+        raise BudgetExceededError(bits, MAX_OUTPUT_BITS, f"output bit length of {what} at k = {k}")
 
 
 @dataclass(frozen=True)
@@ -139,7 +151,10 @@ def sum_of_squares_census(k: int, n: int, guard: int = DEFAULT_GUARD) -> np.ndar
         raise ValueError(f"tuple length must be >= 1, got {k}")
     total = n**k
     if total > guard:
-        raise BudgetExceededError(total, guard, f"enumerating {n}^{k} tuples")
+        raise BudgetExceededError(
+            total, guard, f"enumerating {n}^{k} tuples",
+            f"; raise the guard to at least {total} to run it",
+        )
     sq = (np.arange(n, dtype=np.int64) ** 2) % n
     if k == 1:
         return np.bincount(sq, minlength=n)
@@ -223,6 +238,11 @@ def rho_odd_prime(k: int, lam: int, p: int) -> int:
     lam %= p
     if lam == 0:
         raise ValueError(f"lam must be a unit modulo {p}")
+    return _odd_prime_count(k, lam, p)
+
+
+def _odd_prime_count(k: int, lam: int, p: int) -> int:
+    # rho_odd_prime without its checks, for callers that factored p themselves
     terms = LebesgueTerms.for_case(k, p)
     if k % 2 == 1:
         if _is_quadratic_residue(lam, p):
@@ -281,6 +301,13 @@ def rho_pow2(k: int, lam: int, s: int) -> int:
     return 2 ** ((s - 3) * (k - 1)) * rho_base_vector(k, 8).counts[lam % 8]
 
 
+def _unit_count(k: int, lam: int, p: int, e: int) -> int:
+    """rho(k, lam, p^e) for a prime p (not re-checked) and lam a unit mod p."""
+    if p == 2:
+        return rho_pow2(k, lam % 2**e, e)
+    return p ** ((e - 1) * (k - 1)) * _odd_prime_count(k, lam % p, p)
+
+
 def rho(k: int, lam: int, n: int, guard: int = DEFAULT_GUARD) -> int:
     """Number of k-tuples mod n whose square sum is lam.
 
@@ -297,12 +324,11 @@ def rho(k: int, lam: int, n: int, guard: int = DEFAULT_GUARD) -> int:
         return 1
     if gcd(lam, n) != 1:
         return rho_brute(k, lam, n, guard)
+    factors = as_factorization(n).factors
+    _check_output_bits(k, factors, "rho")
     result = 1
-    for p, e in as_factorization(n).factors:
-        if p == 2:
-            result *= rho_pow2(k, lam % 2**e, e)
-        else:
-            result *= rho_odd_prime_power(k, lam, p, e)
+    for p, e in factors:
+        result *= _unit_count(k, lam, p, e)
     return result
 
 

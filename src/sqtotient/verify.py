@@ -53,15 +53,22 @@ def _failed(name: str, counterexample: str) -> Check:
     return Check(name=name, ok=False, detail=f"first counterexample: {counterexample}")
 
 
+def _cases(checked: int, skipped: int) -> str:
+    return f"{checked} cases checked, {skipped} skipped by the guard"
+
+
 def check_closed_forms(k_max: int = 32, guard: int = DEFAULT_GUARD) -> Check:
     """Closed forms = matrix recurrence at 2, 4, 8 (= census where it fits)."""
     name = "closed forms at moduli 2, 4, 8"
+    checked = skipped = 0
     for modulus in (2, 4, 8):
         censuses = {
             k: sum_of_squares_census(k, modulus, guard)
             for k in range(1, k_max + 1)
             if modulus**k <= guard
         }
+        checked += len(censuses)
+        skipped += k_max - len(censuses)
         for k in range(1, k_max + 1):
             vector = rho_base_vector(k, modulus)
             for lam in range(1, modulus, 2):
@@ -81,7 +88,9 @@ def check_closed_forms(k_max: int = 32, guard: int = DEFAULT_GUARD) -> Check:
                         name,
                         f"k={k} lam={lam} mod {modulus}: closed {closed} != census {int(censuses[k][lam])}",
                     )
-    return _passed(name, f"k <= {k_max}, all odd residues, census cross-check under guard")
+    return _passed(
+        name, f"k <= {k_max}, all odd residues; census cross-check: {_cases(checked, skipped)}"
+    )
 
 
 def check_census_totals(n_max: int = 64, k_max: int = 8) -> Check:
@@ -112,10 +121,13 @@ def check_rho_prime_powers(
     while q <= two_bound:
         moduli.append(q)
         q *= 2
+    checked = skipped = 0
     for n in sorted(moduli):
         for k in range(1, k_max + 1):
             if n**k > guard:
+                skipped += k_max - k + 1
                 break
+            checked += 1
             census = sum_of_squares_census(k, n, guard)
             for lam in range(1, n):
                 if gcd(lam, n) != 1:
@@ -127,17 +139,21 @@ def check_rho_prime_powers(
                     )
     return _passed(
         name,
-        f"odd prime powers <= {odd_bound}, powers of two <= {two_bound}, k <= {k_max} under guard",
+        f"odd prime powers <= {odd_bound}, powers of two <= {two_bound}, k <= {k_max}: "
+        + _cases(checked, skipped),
     )
 
 
 def check_rho_general(limit: int, k_max: int = 6, guard: int = DEFAULT_GUARD) -> Check:
     """Formula equals exhaustive census at every modulus <= limit."""
     name = "general-modulus formula vs enumeration"
+    checked = skipped = 0
     for n in range(1, limit + 1):
         for k in range(1, k_max + 1):
             if n**k > guard:
+                skipped += k_max - k + 1
                 break
+            checked += 1
             census = sum_of_squares_census(k, n, guard)
             for lam in range(n):
                 if gcd(lam, n) != 1:
@@ -147,19 +163,22 @@ def check_rho_general(limit: int, k_max: int = 6, guard: int = DEFAULT_GUARD) ->
                     return _failed(
                         name, f"k={k} lam={lam} n={n}: formula {formula} != census {int(census[lam])}"
                     )
-    return _passed(name, f"n <= {limit}, unit residues, k <= {k_max} under guard")
+    return _passed(name, f"n <= {limit}, unit residues, k <= {k_max}: {_cases(checked, skipped)}")
 
 
 def check_rho_multiplicativity(bound: int = 24, k_max: int = 5, guard: int = DEFAULT_GUARD) -> Check:
     """rho(k, lam, mn) = rho(k, lam mod m, m) rho(k, lam mod n, n), coprime m, n."""
     name = "residue-count multiplicativity"
+    checked = skipped = 0
     for m in range(2, bound + 1):
         for n in range(m + 1, bound + 1):
             if gcd(m, n) != 1:
                 continue
             for k in range(1, k_max + 1):
                 if (m * n) ** k > guard:
+                    skipped += k_max - k + 1
                     break
+                checked += 1
                 census = sum_of_squares_census(k, m * n, guard)
                 for lam in range(m * n):
                     if gcd(lam, m * n) != 1:
@@ -167,17 +186,20 @@ def check_rho_multiplicativity(bound: int = 24, k_max: int = 5, guard: int = DEF
                     split = rho(k, lam % m, m) * rho(k, lam % n, n)
                     if split != int(census[lam]):
                         return _failed(name, f"k={k} lam={lam} m={m} n={n}")
-    return _passed(name, f"coprime pairs <= {bound}, k <= {k_max} under guard")
+    return _passed(name, f"coprime pairs <= {bound}, k <= {k_max}: {_cases(checked, skipped)}")
 
 
 def check_lifting_steps(guard: int = DEFAULT_GUARD) -> Check:
     """One-step lifts: p^(k-1) per extra exponent (odd p everywhere, 2 from s >= 3)."""
     name = "prime-power lifting steps"
+    checked = skipped = 0
     for p in (3, 5):
         for s in range(1, 4):
             for k in range(1, 4):
                 if p ** ((s + 1) * k) > guard:
+                    skipped += 1
                     continue
+                checked += 1
                 low = sum_of_squares_census(k, p**s, guard)
                 high = sum_of_squares_census(k, p ** (s + 1), guard)
                 for lam in range(p ** (s + 1)):
@@ -188,13 +210,17 @@ def check_lifting_steps(guard: int = DEFAULT_GUARD) -> Check:
     for s in (3, 4):
         for k in range(1, 4):
             if 2 ** ((s + 1) * k) > guard:
+                skipped += 1
                 continue
+            checked += 1
             low = sum_of_squares_census(k, 2**s, guard)
             high = sum_of_squares_census(k, 2 ** (s + 1), guard)
             for lam in range(1, 2 ** (s + 1), 2):
                 if int(high[lam]) != 2 ** (k - 1) * int(low[lam % 2**s]):
                     return _failed(name, f"p=2 s={s} k={k} lam={lam}")
-    return _passed(name, "p in (3, 5) s <= 3 and p = 2 s in (3, 4), k <= 3")
+    return _passed(
+        name, f"p in (3, 5) s <= 3 and p = 2 s in (3, 4), k <= 3: {_cases(checked, skipped)}"
+    )
 
 
 def verify_rho(limit: int, guard: int = DEFAULT_GUARD) -> SuiteResult:
@@ -215,10 +241,13 @@ def verify_phi(limit: int, guard: int = DEFAULT_GUARD, k_max: int = 4) -> SuiteR
     name = "three-route agreement"
     checks = []
     failure = None
+    checked = skipped = 0
     for n in range(1, limit + 1):
         for k in range(1, k_max + 1):
             if n**k > guard:
+                skipped += k_max - k + 1
                 break
+            checked += 1
             closed = phi_k(k, n)
             brute = phi_k_brute(k, n, guard)
             via = phi_k_via_rho(k, n)
@@ -230,7 +259,7 @@ def verify_phi(limit: int, guard: int = DEFAULT_GUARD, k_max: int = 4) -> SuiteR
     if failure:
         checks.append(_failed(name, failure))
     else:
-        checks.append(_passed(name, f"n <= {limit}, k <= {k_max} under guard"))
+        checks.append(_passed(name, f"n <= {limit}, k <= {k_max}: {_cases(checked, skipped)}"))
     return SuiteResult(suite="phi", limit=limit, checks=checks)
 
 

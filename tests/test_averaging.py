@@ -34,6 +34,10 @@ class TestPhiTable:
             for n in range(1, 2001):
                 assert table[n] == phi_k(k, n), (k, n)
 
+    def test_output_size_guard(self):
+        with pytest.raises(BudgetExceededError):
+            phi_k_table(2**63 - 1, 3)
+
     def test_partial_sum_examples(self):
         assert partial_sum(1, 10) == 32
         assert partial_sum(1, 1) == 1
@@ -57,6 +61,16 @@ class TestEulerConstant:
             euler_constant(2, 0)
         with pytest.raises(ValueError):
             euler_constant(2, -1e-9)
+
+    def test_prime_bound_guard(self):
+        # tol 1e-18 would sieve to about 2^31; refused before the sieve
+        with pytest.raises(BudgetExceededError) as info:
+            euler_constant(2, 1e-18)
+        assert info.value.required > 2**30
+        with pytest.raises(BudgetExceededError):
+            corollary_constant(4, 1e-30)
+        with pytest.raises(BudgetExceededError):
+            euler_constant(4, prime_bound=2**40)
 
     def test_monotone_refinement(self):
         for k in (2, 4, 6):

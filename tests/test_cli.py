@@ -41,6 +41,20 @@ class TestPhiCommand:
         assert run(runner, "phi", "-k", "2").exit_code == 2
         assert run(runner, "phi", "-k", "2", "-n", "3", "--range", "5").exit_code == 2
 
+    def test_output_size_guard(self, runner):
+        huge = str(2**63 - 1)
+        for args in (("-n", "3"), ("--range", "3")):
+            result = run(runner, "phi", "-k", huge, *args)
+            assert result.exit_code == 3
+            assert "output bit length" in result.output
+        assert run(runner, "rho", "-k", huge, "-l", "1", "-n", "3").exit_code == 3
+        assert run(runner, "report", "menon", "-k", huge, "--nmax", "3").exit_code == 3
+
+    def test_prints_counts_past_the_default_digit_limit(self, runner):
+        result = run(runner, "phi", "-k", "1000", "-n", str(10**9 + 7))
+        assert result.exit_code == 0
+        assert len(result.output.strip()) > 4300
+
     def test_rejects_out_of_range_inputs(self, runner):
         assert run(runner, "phi", "-k", "0", "-n", "5").exit_code == 2
         assert run(runner, "phi", "-k", "1", "-n", str(2**63)).exit_code == 2
@@ -84,6 +98,17 @@ class TestVerifyCommand:
         assert result.exit_code == 0
         assert "true" in result.output
 
+    def test_detail_counts_guard_skips(self, runner):
+        result = run(
+            runner, "verify", "rho", "--limit", "10", "--max-enum", "1000", "--format", "json", "--no-meta"
+        )
+        assert result.exit_code == 0
+        details = {row["check"]: row["detail"] for row in json.loads(result.output)["rows"]}
+        detail = details["prime-power formula vs enumeration"]
+        # moduli 2, 3, 4, 5, 7, 8, 9 at k <= 6; 4^5, 5^5, 7^4, 8^4, 9^4 and
+        # every higher power pass the 1000-tuple guard
+        assert detail.endswith("29 cases checked, 13 skipped by the guard")
+
     def test_unknown_suite_is_usage_error(self, runner):
         assert run(runner, "verify", "nonsense").exit_code == 2
 
@@ -119,6 +144,11 @@ class TestReportCommand:
         assert "euler_product" in result.output
         assert "corollary_product" in result.output
         assert "0.64980275" in result.output
+
+    def test_constants_prime_bound_guard(self, runner):
+        result = run(runner, "report", "constants", "-k", "2", "--tol", "1e-18")
+        assert result.exit_code == 3
+        assert "Euler-product prime bound" in result.output
 
     def test_minimal_order_even_k_guarded(self, runner):
         assert run(runner, "report", "minimal-order", "-k", "2").exit_code == 2

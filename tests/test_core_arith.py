@@ -1,11 +1,13 @@
 """Factorization, sieve, and classical totient checks."""
 
 import math
+import random
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import factorint, nextprime
 
 from sqtotient import (
     Factorization,
@@ -58,11 +60,36 @@ class TestFactorize:
             assert math.prod(p**e for p, e in f.factors) == n
 
     def test_rho_splitting_beyond_trial_division(self):
-        # both primes exceed the trial-division bound, forcing the splitter
+        # both primes are far above the trial-division bound of 1000, so the
+        # composite cofactor fails Miller-Rabin and Brent's rho splits it
         p, q = 1000003, 1000033
         assert naive_is_prime(p) and naive_is_prime(q)
         assert factorize(p * q).factors == ((p, 1), (q, 1))
         assert factorize(p * p * q).factors == ((p, 2), (q, 1))
+
+    def test_matches_sympy_on_hard_shapes(self):
+        # the shapes that get past trial division: large primes, semiprimes
+        # with both factors above the trial bound, prime powers just above
+        # it, balanced 62-bit semiprimes and Carmichael numbers
+        rng = random.Random(20141)
+        shapes = [nextprime(rng.randrange(2**61, 2**62)) for _ in range(8)]
+        shapes += [
+            nextprime(rng.randrange(10**3, 10**6)) * nextprime(rng.randrange(10**3, 2**40))
+            for _ in range(16)
+        ]
+        for p in (1009, 1013, 1019):
+            shapes += [p**2, p**3, 2 * 3 * p**2, p**3 * 1000003]
+        for _ in range(2):
+            shapes.append(nextprime(rng.randrange(2**30, 2**31)) * nextprime(rng.randrange(2**30, 2**31)))
+        shapes += [561, 41041, 9746347772161]  # Carmichael numbers
+        for n in shapes:
+            assert dict(factorize(n).factors) == factorint(n), n
+
+    def test_result_passes_full_validation(self):
+        # factorize skips re-certifying its primes; a checked rebuild agrees
+        for n in (1, 2, 360, 1009**3, 1000003 * 1000033, 2**61 - 1, 561 * 1013**2):
+            f = factorize(n)
+            assert Factorization(f.n, f.factors) == f
 
     def test_invariant_validation(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from sqtotient import (
+    BudgetExceededError,
     divisor_count,
     euler_phi,
     menon_classic,
@@ -35,9 +36,26 @@ class TestTupleGcdSum:
         assert menon_lhs(4, 1) == 1
 
     def test_shortcut_equals_enumeration(self):
-        for n in range(1, 31):
-            for k in range(1, 4):
-                assert menon_lhs(k, n) == menon_lhs_brute(k, n), (k, n)
+        for k in range(1, 6):
+            for n in range(1, 81):
+                if n**k <= 3 * 10**6:
+                    assert menon_lhs(k, n) == menon_lhs_brute(k, n), (k, n)
+
+    def test_multiplicative_over_coprime_moduli(self):
+        # the prime-power blocks make menon_lhs multiplicative by
+        # construction, so the other side of each equation is enumerated
+        for k in (1, 2, 3):
+            for m, n in ((3, 4), (4, 5), (5, 8), (7, 9), (8, 9), (9, 10), (3, 25)):
+                separate = menon_lhs_brute(k, m) * menon_lhs_brute(k, n)
+                assert menon_lhs(k, m * n) == separate, (k, m, n)
+                if (m * n) ** k <= 10**6:
+                    assert menon_lhs_brute(k, m * n) == menon_lhs(k, m) * menon_lhs(k, n)
+
+    def test_huge_k_is_refused_before_building(self):
+        with pytest.raises(BudgetExceededError):
+            menon_lhs(2**63 - 1, 3)
+        with pytest.raises(BudgetExceededError):
+            psi_table(2**63 - 1, 3)
 
     def test_first_order_reduces_to_square_gcd_sum(self):
         from math import gcd
@@ -74,6 +92,11 @@ class TestMultiplicativityScan:
     def test_classic_case_asserts(self):
         rows = psi_multiplicativity_scan(1, 60)
         assert all(row.equal for row in rows)
+
+    def test_every_k_is_multiplicative(self):
+        for k in (2, 3, 4, 5):
+            rows = psi_multiplicativity_scan(k, 200)
+            assert len(rows) == 401 and all(row.equal for row in rows)
 
     def test_trivial_pairs(self):
         rows = psi_multiplicativity_scan(2, 12)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqtotient import (
+    BudgetExceededError,
     euler_phi,
     phi_k,
     phi_k_brute,
@@ -84,6 +85,17 @@ class TestClosedForm:
         assert phi_k(2, 15) == 128
         assert phi_k(4, 3) == 48
         assert phi_k(1, 1) == 1
+
+    def test_output_size_guard(self):
+        # phi_k(k, 3) has about 1.6 k bits; the guard estimates 2 k
+        with pytest.raises(BudgetExceededError) as info:
+            phi_k(2**63 - 1, 3)
+        assert info.value.required == 2 * (2**63 - 1)
+        with pytest.raises(BudgetExceededError):
+            phi_k(2**19, 2**62)
+        big = phi_k(1000, 10**9 + 7)
+        assert big == phi_k_prime_power(1000, 10**9 + 7, 1)
+        assert len(str(big)) > 4300
 
     def test_odd_k_shape(self):
         # odd k collapses to n^(k-1) phi(n)

@@ -238,6 +238,15 @@ class TestCombined:
                     if n == 1 or gcd(lam, n) == 1:
                         assert rho(k, lam, n) == int(census[lam]), (k, lam, n)
 
+    def test_output_size_guard(self):
+        # refused from the exponents alone, before any power is built
+        with pytest.raises(BudgetExceededError) as info:
+            rho(2**63 - 1, 1, 3)
+        assert info.value.required == 2 * (2**63 - 1)
+        with pytest.raises(BudgetExceededError):
+            rho(2**62, 1, 8)
+        assert rho(1000, 1, 10**9 + 7) == rho_odd_prime(1000, 1, 10**9 + 7)
+
     def test_non_unit_residues_fall_back_to_enumeration(self):
         assert rho(2, 0, 5) == 9
         assert rho(2, 2, 4) == 4
