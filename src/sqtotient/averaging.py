@@ -304,6 +304,7 @@ def g_k_table(k: int, limit: int, table: SpfTable | None = None) -> GkCoefficien
         raise ValueError(f"the convolution decomposition is used for even k, got {k}")
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
+    _check_output_bits(k, ((limit, 1),), "g_k_table")
 
     def local(p: int, e: int) -> int:
         if e > 1:
@@ -414,6 +415,8 @@ def minimal_order_scan(
     primes = primes_upto(max(bound, 30))[:prime_count]
     if len(primes) < prime_count:
         primes = primes_upto(bound * 4)[:prime_count]
+    # the exact ratio gains about k log2 p bits per prime
+    _check_output_bits(k, [(p, 1) for p in primes], "minimal_order_scan")
     rows: list[tuple[int, float]] = []
     primorial = 1
     scaled = Fraction(1)  # phi_k(n) / n^k, exact

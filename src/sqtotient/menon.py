@@ -98,7 +98,7 @@ def _menon_lhs(k: int, f: Factorization) -> int:
 
 
 def menon_lhs_brute(k: int, n: int, guard: int = DEFAULT_GUARD) -> int:
-    """Same gcd-sum from exhaustive tuple enumeration; cross-check only."""
+    """Same gcd-sum from the residue census; cross-check only."""
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
     if n == 1:

@@ -10,19 +10,19 @@ values
 
 where s = (-1)^(k(p-1)/4) for odd p. All products are assembled from
 integer prime-power blocks; no floating point ever enters. Two oracles
-(direct enumeration, and summing residue-class counts over units) plus a
+(the residue census, and summing residue-class counts over units) plus a
 Jordan-totient route for 4 | k cross-check the closed form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
 from .core_arith import Factorization, as_factorization, euler_phi, jordan_totient
-from .rho import DEFAULT_GUARD, _check_output_bits, rho, sum_of_squares_census
+from .rho import DEFAULT_GUARD, _check_output_bits, _unit_count, sum_of_squares_census
 
 __all__ = [
     "phi_k_brute",
@@ -43,18 +43,30 @@ def even_k_sign(k: int, p: int) -> int:
 
 
 def phi_k_brute(k: int, n: int, guard: int = DEFAULT_GUARD) -> int:
-    """Exhaustive count of tuples whose square sum is a unit mod n."""
+    """Count of tuples whose square sum is a unit mod n, from the census."""
     census = sum_of_squares_census(k, n, guard)
     units = np.array([gcd(r, n) == 1 for r in range(n)])
     return int(census[units].sum())
 
 
 def phi_k_via_rho(k: int, n: int) -> int:
-    """Sum of residue-class counts over the units of Z/nZ."""
+    """Sum of residue-class counts over the units of Z/nZ.
+
+    n is factored once; each unit's count is the product of its CRT-local
+    prime-power counts, as in ``rho``.
+    """
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
-    # lam = 0 is the unit class when n = 1
-    return sum(rho(k, lam, n) for lam in range(n) if gcd(lam, n) == 1)
+    if k < 1:
+        raise ValueError(f"tuple length must be >= 1, got {k}")
+    factors = as_factorization(n).factors
+    _check_output_bits(k, factors, "phi_k_via_rho")
+    # lam = 0 is the unit class when n = 1, where the empty product is 1
+    return sum(
+        prod(_unit_count(k, lam, p, e) for p, e in factors)
+        for lam in range(n)
+        if gcd(lam, n) == 1
+    )
 
 
 def phi_k_prime_power(k: int, p: int, r: int) -> int:

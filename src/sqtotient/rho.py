@@ -18,12 +18,13 @@ appears is 0, +/-1 or +/-sqrt(2)/2, and the irrational parts cancel); they
 serve as a cross-check against the recurrence, never as the primary path.
 
 For gcd(lam, n) > 1 no formula is attempted: the public entry point falls
-back to the guarded exhaustive oracle.
+back to the guarded residue census, an exact product-rule count of all n^k
+tuples (cyclic-convolution powering of the square census mod n) that the
+tier-1 tests check against literal enumeration.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -51,12 +52,8 @@ __all__ = [
     "trig_closed_form_rho8",
 ]
 
-# Default ceiling on the number of tuples an exhaustive enumeration may visit.
+# Default ceiling on n^k, the number of tuples a census may count.
 DEFAULT_GUARD = 10**8
-
-# Largest intermediate array of partial square sums the census kernel keeps
-# in memory before falling back to an outer Python loop.
-_LEVEL_CAP = 1 << 22
 
 # Matrix-recurrence moduli are meant to be tiny (2, 4, 8 and test moduli);
 # the cost is O(k * n^2) big-int operations.
@@ -139,11 +136,14 @@ def _square_census(n: int) -> tuple[int, ...]:
 
 
 def sum_of_squares_census(k: int, n: int, guard: int = DEFAULT_GUARD) -> np.ndarray:
-    """Tally square sums over all n^k tuples by direct enumeration.
+    """Count square sums over all n^k tuples by the product rule.
 
-    Returns an int64 array c with c[r] = number of k-tuples whose square sum
-    is congruent to r mod n. Every tuple is visited (chunked, vectorized);
-    anything over ``guard`` tuple evaluations is refused.
+    Returns an array c with c[r] = number of k-tuples whose square sum is
+    congruent to r mod n. The k-coordinate census is the k-fold cyclic
+    convolution of the one-coordinate square census, built by repeated
+    squaring in exact integers (int64 while n^k < 2^63, Python ints above),
+    at O(n^2 log k). Tier-1 tests check it against literal enumeration. A
+    census over more than ``guard`` tuples is refused.
     """
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
@@ -155,36 +155,34 @@ def sum_of_squares_census(k: int, n: int, guard: int = DEFAULT_GUARD) -> np.ndar
             total, guard, f"enumerating {n}^{k} tuples",
             f"; raise the guard to at least {total} to run it",
         )
-    sq = (np.arange(n, dtype=np.int64) ** 2) % n
-    if k == 1:
-        return np.bincount(sq, minlength=n)
+    # every intermediate entry counts tuples, so it is at most n^k
+    dtype = np.int64 if total < 2**63 else object
+    squares = (np.arange(n, dtype=np.int64) ** 2) % n
+    power = np.bincount(squares, minlength=n).astype(dtype)
+    counts = None
+    while True:
+        if k & 1:
+            counts = power if counts is None else _cyclic_convolve(counts, power)
+        k >>= 1
+        if not k:
+            return counts
+        power = _cyclic_convolve(power, power)
 
-    # Grow the array of partial square sums one coordinate at a time while it
-    # fits; whatever coordinates remain are iterated in an outer loop.
-    level = sq.copy()
-    depth = 1
-    while depth < k and level.size * n <= _LEVEL_CAP:
-        level = (level[:, None] + sq[None, :]).ravel()
-        level = np.where(level >= n, level - n, level)
-        depth += 1
-    if depth == k:
-        return np.bincount(level, minlength=n)
 
-    counts = np.zeros(n, dtype=np.int64)
-    for prefix in itertools.product(range(n), repeat=k - depth):
-        shift = sum(int(sq[x]) for x in prefix) % n
-        # entries stay below 2n, so one folded bincount replaces a mod pass
-        folded = np.bincount(level + shift, minlength=2 * n)
-        counts += folded[:n]
-        counts += folded[n:]
-    return counts
+def _cyclic_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact convolution of two residue vectors modulo their common length."""
+    n = len(a)
+    full = np.convolve(a, b)
+    folded = full[:n].copy()
+    folded[: n - 1] += full[n:]
+    return folded
 
 
 def rho_brute(k: int, lam: int, n: int, guard: int = DEFAULT_GUARD) -> int:
-    """Exhaustive count of tuples with square sum lam mod n.
+    """Exact count of tuples with square sum lam mod n, from the census.
 
-    Works for every lam, including gcd(lam, n) > 1; cost is n^k tuple
-    evaluations under the guard.
+    Works for every lam, including gcd(lam, n) > 1; refused when n^k is
+    over the guard.
     """
     census = sum_of_squares_census(k, n, guard)
     return int(census[lam % n])
@@ -313,7 +311,7 @@ def rho(k: int, lam: int, n: int, guard: int = DEFAULT_GUARD) -> int:
 
     For lam a unit mod n this is the product of prime-power counts (Chinese
     remainder decomposition). For gcd(lam, n) > 1 there is no formula and
-    the guarded exhaustive oracle is used instead.
+    the guarded residue census is read instead.
     """
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")

@@ -1,8 +1,10 @@
 """Shared fixtures and independent reference implementations.
 
-The reference census here is deliberately naive pure Python (itertools
-over every tuple) so the library's vectorized enumeration and its formula
-paths are both checked against something that shares no code with them.
+The reference census here is deliberately naive pure Python: itertools
+visits every tuple. The library's census is a product-rule count
+(cyclic-convolution powering of the square census), so both it and the
+formula paths are checked against literal enumeration that shares no code
+with them.
 """
 
 from itertools import product

@@ -122,6 +122,10 @@ class TestGkTable:
         assert g_k_table(2, 1).values == (0, 1)
         assert g_k_table(6, 1).values == (0, 1)
 
+    def test_output_size_guard(self):
+        with pytest.raises(BudgetExceededError, match="output bit length of g_k_table"):
+            g_k_table(2**63 - 2, 3)
+
     def test_squarefree_support(self):
         from sqtotient import factorize
 
@@ -202,6 +206,12 @@ class TestMinimalOrder:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             minimal_order_scan(1, 100000)
+
+    def test_output_size_guard(self):
+        with pytest.raises(BudgetExceededError, match="output bit length of minimal_order_scan"):
+            minimal_order_scan(2**63 - 1, 3)
+        with pytest.raises(BudgetExceededError, match="output bit length of minimal_order_scan"):
+            minimal_order_scan(2**63 - 2, 3, experimental=True)
 
 
 class TestSpfCeiling:

@@ -155,6 +155,14 @@ class TestReportCommand:
         ok = run(runner, "report", "minimal-order", "-k", "2", "--experimental", "--no-meta")
         assert ok.exit_code == 0
 
+    def test_minimal_order_output_size_guard(self, runner):
+        huge = str(2**63 - 1)
+        result = run(runner, "report", "minimal-order", "-k", huge, "--primes", "3")
+        assert result.exit_code == 3
+        assert "output bit length" in result.output
+        even = run(runner, "report", "minimal-order", "-k", str(2**63 - 2), "--primes", "3", "--experimental")
+        assert even.exit_code == 3
+
     def test_menon_table(self, runner):
         result = run(runner, "report", "menon", "-k", "2", "--nmax", "6", "--format", "csv", "--no-meta")
         rows = list(csv.reader(io.StringIO(result.output)))

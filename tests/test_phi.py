@@ -39,6 +39,21 @@ class TestOracles:
             for k in range(1, 4):
                 assert phi_k_brute(k, n) == naive_phi_k(k, n)
 
+    def test_via_rho_factors_once(self, monkeypatch):
+        import sqtotient.core_arith as core_arith
+
+        expected = phi_k(2, 97)
+        calls = []
+        factorize = core_arith.factorize
+
+        def counting(n):
+            calls.append(n)
+            return factorize(n)
+
+        monkeypatch.setattr(core_arith, "factorize", counting)
+        assert phi_k_via_rho(2, 97) == expected
+        assert calls == [97]
+
     def test_query_invariants(self):
         with pytest.raises(ValueError):
             phi_k_brute(0, 5)

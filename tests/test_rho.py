@@ -14,6 +14,7 @@ from sqtotient import (
     LebesgueTerms,
     closed_form_rho2,
     closed_form_rho4,
+    phi_k_brute,
     rho,
     rho_base_vector,
     rho_brute,
@@ -32,18 +33,21 @@ class TestCensusKernel:
             for k in range(1, 5):
                 assert list(sum_of_squares_census(k, n)) == naive_census(k, n), (k, n)
 
-    def test_chunked_path_matches_naive(self):
-        # force the outer-loop path by shrinking the in-memory level cap
-        import importlib
+    def test_powering_matches_naive(self):
+        # odd and even k, up to three squarings (k = 8, 9)
+        for n in range(1, 16):
+            for k in range(1, 10):
+                if n**k > 2 * 10**5:
+                    break
+                assert list(sum_of_squares_census(k, n)) == naive_census(k, n), (k, n)
 
-        rho_module = importlib.import_module("sqtotient.rho")
-        original = rho_module._LEVEL_CAP
-        rho_module._LEVEL_CAP = 16
-        try:
-            for n, k in ((5, 4), (7, 3), (3, 6)):
-                assert list(sum_of_squares_census(k, n)) == naive_census(k, n)
-        finally:
-            rho_module._LEVEL_CAP = original
+    def test_exact_past_int64(self):
+        census = sum_of_squares_census(64, 2, guard=2**64)
+        assert list(census) == [2**63, 2**63]
+        assert all(type(c) is int for c in census)
+        for value in (rho_brute(64, 0, 2, guard=2**64), phi_k_brute(64, 2, guard=2**64)):
+            assert type(value) is int
+            assert value == 2**63
 
     def test_budget_names_requirement(self):
         with pytest.raises(BudgetExceededError) as info:
