@@ -52,7 +52,6 @@ from .phi import (
 from .rho import (
     DEFAULT_GUARD,
     BudgetExceededError,
-    CountMatrix,
     LebesgueTerms,
     ResidueVector,
     closed_form_rho2,
@@ -75,7 +74,6 @@ __all__ = [
     "BudgetExceededError",
     "Check",
     "ConvolutionReport",
-    "CountMatrix",
     "DEFAULT_GUARD",
     "EulerConstant",
     "Factorization",

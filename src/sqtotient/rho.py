@@ -8,14 +8,15 @@ multiplicative in n and reduces to prime powers:
     prime case is p^(k-1) +/- a signed power of p picked by the parity of
     k and whether lam is a quadratic residue (Euler criterion).
   * p = 2:  the reduction bottoms out at modulus 8 instead of 2, so the
-    moduli 2, 4, 8 are produced by the exact integer recurrence
-    R_k = M(n) . R_(k-1), where M(n) is the circulant matrix of
-    single-coordinate counts and R_1 is a census of squares mod n.
+    moduli 2, 4, 8 are read from the residue vector: the census of squares
+    mod n raised to the k-th power under cyclic convolution, by repeated
+    squaring in exact integers.
 
 The classical trigonometric closed forms for moduli 2, 4, 8 are also
 implemented, in exact Z[sqrt(2)] arithmetic (every sine and cosine that
 appears is 0, +/-1 or +/-sqrt(2)/2, and the irrational parts cancel); they
-serve as a cross-check against the recurrence, never as the primary path.
+serve as a cross-check against the residue vector, never as the primary
+path.
 
 For gcd(lam, n) > 1 no formula is attempted: the public entry point falls
 back to the guarded residue census, an exact product-rule count of all n^k
@@ -38,7 +39,6 @@ __all__ = [
     "DEFAULT_GUARD",
     "BudgetExceededError",
     "ResidueVector",
-    "CountMatrix",
     "LebesgueTerms",
     "sum_of_squares_census",
     "rho_brute",
@@ -55,9 +55,9 @@ __all__ = [
 # Default ceiling on n^k, the number of tuples a census may count.
 DEFAULT_GUARD = 10**8
 
-# Matrix-recurrence moduli are meant to be tiny (2, 4, 8 and test moduli);
-# the cost is O(k * n^2) big-int operations.
-_RECURRENCE_CAP = 1024
+# Largest modulus the census kernel takes: it holds a few arrays of one
+# entry per residue (8 MB each in int64 at this cap) and costs O(n^2 log k).
+_CENSUS_MODULUS_CAP = 1 << 20
 
 # Largest count, in bits, that a closed form may build. -k reaches 2^63 - 1
 # on the CLI and a count near n^k has about k log2 n bits; at this cap it
@@ -101,40 +101,6 @@ class ResidueVector:
             raise ValueError("counts must sum to n^k")
 
 
-@dataclass(frozen=True)
-class CountMatrix:
-    """Circulant matrix with entry (i, j) = rho(1, i - j mod n, n).
-
-    Applying it to the length-(k-1) residue vector yields the length-k one;
-    every row is a cyclic shift of row 0 and sums to n.
-    """
-
-    n: int
-    entries: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def for_modulus(cls, n: int) -> "CountMatrix":
-        row0 = _square_census(n)
-        rows = tuple(
-            tuple(row0[(i - j) % n] for j in range(n)) for i in range(n)
-        )
-        return cls(n=n, entries=rows)
-
-    def apply(self, vec: tuple[int, ...]) -> tuple[int, ...]:
-        """Exact integer matrix-vector product."""
-        n = self.n
-        return tuple(
-            sum(self.entries[i][j] * vec[j] for j in range(n)) for i in range(n)
-        )
-
-
-def _square_census(n: int) -> tuple[int, ...]:
-    counts = [0] * n
-    for x in range(n):
-        counts[x * x % n] += 1
-    return tuple(counts)
-
-
 def sum_of_squares_census(k: int, n: int, guard: int = DEFAULT_GUARD) -> np.ndarray:
     """Count square sums over all n^k tuples by the product rule.
 
@@ -155,8 +121,15 @@ def sum_of_squares_census(k: int, n: int, guard: int = DEFAULT_GUARD) -> np.ndar
             total, guard, f"enumerating {n}^{k} tuples",
             f"; raise the guard to at least {total} to run it",
         )
+    return _power_census(k, n)
+
+
+def _power_census(k: int, n: int) -> np.ndarray:
+    """The square census mod n raised to the k-th power, unguarded in k."""
+    if n > _CENSUS_MODULUS_CAP:
+        raise BudgetExceededError(n, _CENSUS_MODULUS_CAP, f"census at modulus {n}")
     # every intermediate entry counts tuples, so it is at most n^k
-    dtype = np.int64 if total < 2**63 else object
+    dtype = np.int64 if n**k < 2**63 else object
     squares = (np.arange(n, dtype=np.int64) ** 2) % n
     power = np.bincount(squares, minlength=n).astype(dtype)
     counts = None
@@ -260,34 +233,24 @@ def rho_odd_prime_power(k: int, lam: int, p: int, s: int) -> int:
 
 @lru_cache(maxsize=4096)
 def rho_base_vector(k: int, n: int) -> ResidueVector:
-    """All residue-class counts at once via the exact matrix recurrence.
+    """All residue-class counts at once, from the census kernel.
 
-    R_1 is a direct census of squares mod n; each further coordinate is one
-    integer matrix-vector product. Intended for the power-of-two base moduli
-    and small test moduli.
+    Unlike ``sum_of_squares_census`` it has no n^k guard: k is bounded only
+    by the output bit length, so deep k at the base moduli 2, 4, 8 stays
+    cheap (O(n^2 log k) big-int operations).
     """
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
     if k < 1:
         raise ValueError(f"tuple length must be >= 1, got {k}")
-    if n > _RECURRENCE_CAP:
-        raise BudgetExceededError(n, _RECURRENCE_CAP, f"matrix recurrence at modulus {n}")
-    if k == 1:
-        return ResidueVector(n=n, k=1, counts=_square_census(n))
-    previous = rho_base_vector(k - 1, n)
-    matrix = _count_matrix_cached(n)
-    return ResidueVector(n=n, k=k, counts=matrix.apply(previous.counts))
-
-
-@lru_cache(maxsize=128)
-def _count_matrix_cached(n: int) -> CountMatrix:
-    return CountMatrix.for_modulus(n)
+    _check_output_bits(k, ((n, 1),), "rho_base_vector")
+    return ResidueVector(n=n, k=k, counts=tuple(int(c) for c in _power_census(k, n)))
 
 
 def rho_pow2(k: int, lam: int, s: int) -> int:
     """Count at modulus 2^s for odd lam.
 
-    s <= 3 reads the recurrence value directly; above that the count scales
+    s <= 3 reads the residue vector directly; above that the count scales
     by 2^((s-3)(k-1)) from the modulus-8 value.
     """
     if s < 1:

@@ -58,7 +58,7 @@ def _cases(checked: int, skipped: int) -> str:
 
 
 def check_closed_forms(k_max: int = 32, guard: int = DEFAULT_GUARD) -> Check:
-    """Closed forms = matrix recurrence at 2, 4, 8 (= census where it fits)."""
+    """Closed forms = residue vector at 2, 4, 8 for every k (= guarded census where it fits)."""
     name = "closed forms at moduli 2, 4, 8"
     checked = skipped = 0
     for modulus in (2, 4, 8):
@@ -81,7 +81,7 @@ def check_closed_forms(k_max: int = 32, guard: int = DEFAULT_GUARD) -> Check:
                 if closed != vector.counts[lam]:
                     return _failed(
                         name,
-                        f"k={k} lam={lam} mod {modulus}: closed {closed} != recurrence {vector.counts[lam]}",
+                        f"k={k} lam={lam} mod {modulus}: closed {closed} != residue vector {vector.counts[lam]}",
                     )
                 if k in censuses and closed != int(censuses[k][lam]):
                     return _failed(
@@ -94,7 +94,7 @@ def check_closed_forms(k_max: int = 32, guard: int = DEFAULT_GUARD) -> Check:
 
 
 def check_census_totals(n_max: int = 64, k_max: int = 8) -> Check:
-    """Residue-class counts sum to n^k (recurrence route)."""
+    """Residue-class counts sum to n^k (residue-vector route, no tuple guard)."""
     name = "census totals n^k"
     for n in range(1, n_max + 1):
         for k in range(1, k_max + 1):

@@ -111,7 +111,7 @@ def test_criterion_03_closed_forms_recurrence_oracle():
             break
     _conclude(
         3,
-        "closed forms = matrix recurrence (= enumeration under guard) at 2, 4, 8 for k <= 32",
+        "closed forms = residue vector (= guarded census) at 2, 4, 8 for k <= 32",
         ok,
         started,
         detail,

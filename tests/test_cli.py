@@ -3,10 +3,12 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
 
+from sqtotient import trig_closed_form_rho8
 from sqtotient.cli import main
 
 
@@ -74,6 +76,25 @@ class TestRhoCommand:
         result = run(runner, "rho", "-k", "2", "-l", "0", "-n", "5", "--max-enum", "10")
         assert result.exit_code == 3
         assert "budget" in result.output
+
+    def test_deep_k_at_modulus_8(self, runner):
+        result = run(runner, "rho", "-k", "3000", "-l", "1", "-n", "8")
+        assert result.exit_code == 0
+        assert result.output.strip() == f"{trig_closed_form_rho8(3000, 1)} (formula)"
+
+    def test_census_modulus_cap(self, runner):
+        # 10^8 = n^1 passes the tuple guard; the modulus cap refuses it before
+        # the census builds its 10^8-entry arrays (800 MB each)
+        tracemalloc.start()
+        try:
+            result = run(runner, "rho", "-k", "1", "-l", "0", "-n", str(10**8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 3
+        assert "census at modulus 100000000" in result.output
+        assert "raise the guard" not in result.output
+        assert peak < 10**7
 
     def test_max_enum_must_be_positive(self, runner):
         for budget in ("0", "-1"):

@@ -110,7 +110,7 @@ class TestClosedForm:
             phi_k(2**19, 2**62)
         big = phi_k(1000, 10**9 + 7)
         assert big == phi_k_prime_power(1000, 10**9 + 7, 1)
-        assert len(str(big)) > 4300
+        assert big >= 10**4300
 
     def test_odd_k_shape(self):
         # odd k collapses to n^(k-1) phi(n)

@@ -1,4 +1,4 @@
-"""Residue-class counting: formulas, recurrence, closed forms, oracle."""
+"""Residue-class counting: formulas, census kernel, closed forms, oracle."""
 
 from math import gcd
 
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from sqtotient import (
     DEFAULT_GUARD,
     BudgetExceededError,
-    CountMatrix,
     LebesgueTerms,
     closed_form_rho2,
     closed_form_rho4,
@@ -163,30 +162,15 @@ class TestBaseVector:
             for k in (1, 2, 4, 8):
                 assert sum(rho_base_vector(k, n).counts) == n**k
 
-
-class TestCountMatrix:
-    def test_rows_are_cyclic_shifts_and_sum_to_n(self):
-        for n in (2, 4, 8, 12):
-            matrix = CountMatrix.for_modulus(n)
-            row0 = matrix.entries[0]
-            for i, row in enumerate(matrix.entries):
-                assert sum(row) == n
-                assert row == tuple(row0[(j - i) % n] for j in range(n))
-
-    def test_mod4_characteristic_polynomial(self):
-        # det(xI - M(4)) = x (x - 4) (x^2 - 4x + 8), spectrum {4, 2 +/- 2i, 0}
-        import sympy
-
-        matrix = sympy.Matrix(CountMatrix.for_modulus(4).entries)
-        x = sympy.Symbol("x")
-        charpoly = matrix.charpoly(x).as_expr()
-        assert sympy.expand(charpoly - x * (x - 4) * (x**2 - 4 * x + 8)) == 0
-
-    def test_mod4_spectrum_numeric(self):
-        eigenvalues = np.linalg.eigvals(np.array(CountMatrix.for_modulus(4).entries, dtype=float))
-        expected = sorted([4 + 0j, 2 + 2j, 2 - 2j, 0 + 0j], key=lambda z: (z.real, z.imag))
-        got = sorted(eigenvalues, key=lambda z: (z.real, z.imag))
-        assert np.allclose(got, expected)
+    def test_mod4_spectrum_powers(self):
+        # convolution theorem: the DFT of the k-fold cyclic convolution is the
+        # k-th power of the DFT of the square census (2, 2, 0, 0), whose
+        # values {4, 2 - 2i, 0, 2 + 2i} are the mod-4 spectrum
+        base = np.fft.fft([2, 2, 0, 0])
+        assert np.allclose(base, [4, 2 - 2j, 0, 2 + 2j])
+        for k in range(1, 9):
+            got = np.fft.fft(np.array(rho_base_vector(k, 4).counts, dtype=float))
+            assert np.allclose(got, base**k), k
 
 
 class TestPow2:
@@ -284,8 +268,9 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             trig_closed_form_rho8(2, 4)
 
-    @pytest.mark.parametrize("k", range(1, 33))
+    @pytest.mark.parametrize("k", [*range(1, 33), 1000, 3000])
     def test_equal_recurrence_all_moduli(self, k):
+        rho_base_vector.cache_clear()
         assert closed_form_rho2(k) == rho_base_vector(k, 2).counts[1]
         for lam in (1, 3):
             assert closed_form_rho4(k, lam) == rho_base_vector(k, 4).counts[lam]
