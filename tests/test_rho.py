@@ -173,6 +173,33 @@ class TestBaseVector:
             assert np.allclose(got, base**k), k
 
 
+class TestCountMatrix:
+    """The circulant count matrix M(n)[i][j] = census[(j - i) % n]; the first
+    row of M(n)^k is the powered census rho_base_vector(k, n)."""
+
+    @staticmethod
+    def _entries(n):
+        census = rho_base_vector(1, n).counts
+        return [[census[(j - i) % n] for j in range(n)] for i in range(n)]
+
+    def test_mod4_characteristic_polynomial(self):
+        # det(xI - M(4)) = x (x - 4) (x^2 - 4x + 8), spectrum {4, 2 +/- 2i, 0}
+        import sympy
+
+        matrix = sympy.Matrix(self._entries(4))
+        x = sympy.Symbol("x")
+        charpoly = matrix.charpoly(x).as_expr()
+        assert sympy.expand(charpoly - x * (x - 4) * (x**2 - 4 * x + 8)) == 0
+        for k in range(1, 6):
+            assert tuple(matrix**k)[:4] == rho_base_vector(k, 4).counts
+
+    def test_mod4_spectrum_numeric(self):
+        eigenvalues = np.linalg.eigvals(np.array(self._entries(4), dtype=float))
+        expected = sorted([4 + 0j, 2 + 2j, 2 - 2j, 0 + 0j], key=lambda z: (z.real, z.imag))
+        got = sorted(eigenvalues, key=lambda z: (z.real, z.imag))
+        assert np.allclose(got, expected)
+
+
 class TestPow2:
     def test_examples(self):
         assert rho_pow2(1, 1, 2) == 2  # modulus 4
