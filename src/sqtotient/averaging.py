@@ -6,9 +6,11 @@ with
     C_k = 6/pi^2                                            (k odd)
     C_k = 3/4 * prod_{p>2} (1 - 1/p^2 - s_p (p-1)/p^(k/2+2)) (k even),
 
-s_p = (-1)^(k(p-1)/4). The tables are exact integers from an SPF sieve;
-the constants are high-precision reals carrying a certified truncation
-bound.
+s_p = (-1)^(k(p-1)/4). The tables are exact integers, built from the
+prime-power values by one SPF sieve and a multiplicative walk that fills
+whole chunks of n at once in numpy (int64 while limit^k < 2^63, Python
+ints above); the constants are high-precision reals carrying a certified
+truncation bound.
 
 A plainly truncated product converges like 1/(P log P), which would need
 P ~ 10^9 for nine digits. Instead the product is rearranged: the factors
@@ -30,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 
 from .core_arith import SpfTable, build_spf, primes_upto
 from .phi import even_k_sign, phi_k_prime_power
@@ -111,54 +114,75 @@ class ConvolutionReport:
     first_mismatch: tuple[int, int, int] | None  # (n, expected phi_k, convolution)
 
 
-def _multiplicative_table(limit: int, spf, local) -> list[int]:
+# Entries per vectorised chunk of the sieve walk. Each chunk temporary
+# (8 bytes per entry, 64 KiB here) stays below glibc's 128 KiB mmap
+# threshold, so the chunks reuse one patch of heap; larger ones are mapped,
+# and freeing a mapped block raises the threshold, which leaves later freed
+# blocks resident and adds to peak RSS.
+_CHUNK = 1 << 13
+
+
+def _multiplicative_table(limit: int, k: int, table: SpfTable | None, local) -> list[int]:
     """values[n] = f(n) for n <= limit, f multiplicative with f(p^e) = local(p, e).
 
-    One pass over n: with p = spf[n] and p^e the exact power of p dividing
-    n, f(n) = f(n / p^e) * f(p^e), and n / p^e < n is already filled. A
-    prime above sqrt(limit) is the smallest factor only of itself, so only
-    the blocks of smaller primes are cached. Slot 0 is a placeholder.
+    With p = spf[n] and p^e the exact power of p dividing n, f(n) =
+    f(p^e) * f(n / p^e), and both factors are at most n/2 unless n is a
+    prime power. So n is walked in chunks of _CHUNK entries, each filled
+    by numpy: ``local`` is called once per prime power, and every other
+    entry comes from one gather per dyadic block [2^j, 2^(j+1)) that the
+    chunk meets, since the blocks below it are already filled.
+    |f(n)| <= n^k is required, which keeps the table in int64 while
+    limit^k < 2^63 and in exact Python ints above. Slot 0 is a placeholder.
     """
-    values = [0] * (limit + 1)
+    dtype = np.int64 if limit**k < 2**63 else object
+    values = np.zeros(limit + 1, dtype=dtype)
     values[1] = 1
-    cache: dict[tuple[int, int], int] = {}
-    for n in range(2, limit + 1):
-        p = int(spf[n])
-        m = n // p
-        e = 1
-        while m % p == 0:
-            m //= p
-            e += 1
-        block = cache.get((p, e))
-        if block is None:
-            block = local(p, e)
-            if p * p <= limit:
-                cache[(p, e)] = block
-        values[n] = values[m] * block
-    return values
+    if limit >= 2:
+        spf = (table if table is not None and table.limit >= limit else build_spf(limit)).spf
+        for lo in range(0, limit + 1, _CHUNK):
+            _fill_chunk(values, spf, max(lo, 2), min(lo + _CHUNK, limit + 1), local)
+        del spf  # frees a sieve built here before the list is allocated
+    return values.tolist()
 
 
-def _spf(limit: int, table: SpfTable | None):
-    # the sieve array to walk, or None when there is nothing to factor
-    if limit < 2:
-        return None
-    if table is None or table.limit < limit:
-        table = build_spf(limit)
-    return table.spf
+def _fill_chunk(values: np.ndarray, spf: np.ndarray, lo: int, hi: int, local) -> None:
+    # values[lo:hi]; every entry below lo is already filled
+    p = spf[lo:hi]
+    m = np.arange(lo, hi, dtype=np.int64) // p
+    q = p.copy()  # p^e, the exact power of p dividing n
+    e = np.ones(hi - lo, dtype=np.int64)
+    more = np.flatnonzero(m % p == 0)
+    while more.size:
+        m[more] //= p[more]
+        q[more] *= p[more]
+        e[more] += 1
+        more = more[m[more] % p[more] == 0]
+    prime_power = m == 1
+    values[lo + np.flatnonzero(prime_power)] = [
+        local(pp, ee) for pp, ee in zip(p[prime_power].tolist(), e[prime_power].tolist())
+    ]
+    rest = np.flatnonzero(~prime_power)
+    # an aligned chunk lies in one dyadic block; only the first meets several
+    cuts = [lo] + [1 << j for j in range(lo.bit_length(), (hi - 1).bit_length())] + [hi]
+    ends = np.searchsorted(rest, np.array(cuts) - lo)
+    for i, j in zip(ends, ends[1:]):
+        block = rest[i:j]
+        values[lo + block] = values[q[block]] * values[m[block]]
 
 
 def phi_k_table(k: int, x: int, table: SpfTable | None = None) -> list[int]:
     """Exact phi_k(n) for all n <= x, indexed by n (slot 0 is a placeholder).
 
-    Built from the prime-power values through one SPF sieve pass instead of
-    per-value trial division.
+    Built from the prime-power values by the multiplicative sieve walk
+    (one SPF sieve, vectorised chunks of n) instead of per-value trial
+    division.
     """
     if k < 1:
         raise ValueError(f"tuple length must be >= 1, got {k}")
     if x < 1:
         raise ValueError(f"range end must be >= 1, got {x}")
     _check_output_bits(k, ((x, 1),), "phi_k_table")
-    return _multiplicative_table(x, _spf(x, table), lambda p, e: phi_k_prime_power(k, p, e))
+    return _multiplicative_table(x, k, table, lambda p, e: phi_k_prime_power(k, p, e))
 
 
 def partial_sum(k: int, x: int, table: SpfTable | None = None) -> int:
@@ -313,7 +337,7 @@ def g_k_table(k: int, limit: int, table: SpfTable | None = None) -> GkCoefficien
             return -(2 ** (k - 1))
         return -(p ** (k - 1)) - even_k_sign(k, p) * p ** (k // 2 - 1) * (p - 1)
 
-    values = _multiplicative_table(limit, _spf(limit, table), local)
+    values = _multiplicative_table(limit, k, table, local)
     return GkCoefficient(k=k, limit=limit, values=tuple(values))
 
 

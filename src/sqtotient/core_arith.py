@@ -248,4 +248,4 @@ def primes_upto(limit: int) -> list[int]:
     for p in range(2, isqrt(limit) + 1):
         if not composite[p]:
             composite[p * p :: p] = True
-    return [int(p) for p in range(2, limit + 1) if not composite[p]]
+    return (np.flatnonzero(~composite[2:]) + 2).tolist()

@@ -68,10 +68,12 @@ MAX_OUTPUT_BITS = 1 << 20
 class BudgetExceededError(RuntimeError):
     """Raised when a computation would exceed its resource budget.
 
-    ``hint`` says how to raise the budget, for the budgets a caller sets.
+    ``required`` is the budget the computation needs: an int, or a power
+    written out as "n^k" when that number is too large to build. ``hint``
+    says how to raise the budget, for the budgets a caller sets.
     """
 
-    def __init__(self, required: int, budget: int, what: str, hint: str = ""):
+    def __init__(self, required: int | str, budget: int, what: str, hint: str = ""):
         self.required = required
         self.budget = budget
         super().__init__(f"{what} needs a budget of {required}, over the limit of {budget}{hint}")
@@ -115,13 +117,17 @@ def sum_of_squares_census(k: int, n: int, guard: int = DEFAULT_GUARD) -> np.ndar
         raise ValueError(f"modulus must be >= 1, got {n}")
     if k < 1:
         raise ValueError(f"tuple length must be >= 1, got {k}")
-    total = n**k
-    if total > guard:
-        raise BudgetExceededError(
-            total, guard, f"enumerating {n}^{k} tuples",
-            f"; raise the guard to at least {total} to run it",
-        )
-    return _power_census(k, n)
+    if n > 1 and k >= guard.bit_length():
+        # n^k >= 2^k > guard: refuse without building the power
+        total = f"{n}^{k}"
+    else:
+        total = n**k
+        if total <= guard:
+            return _power_census(k, n)
+    raise BudgetExceededError(
+        total, guard, f"enumerating {n}^{k} tuples",
+        f"; raise the guard to at least {total} to run it",
+    )
 
 
 def _power_census(k: int, n: int) -> np.ndarray:

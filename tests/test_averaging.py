@@ -13,12 +13,14 @@ from sqtotient import (
     corollary_constant,
     euler_constant,
     euler_phi,
+    factorize,
     g_k_table,
     minimal_order_scan,
     partial_sum,
     phi_k,
     phi_k_table,
 )
+from sqtotient.averaging import _CHUNK
 
 
 class TestPhiTable:
@@ -46,6 +48,64 @@ class TestPhiTable:
     def test_partial_sum_equals_chunked_fold(self, spf_100k):
         values = phi_k_table(2, 3000, table=spf_100k)
         assert partial_sum(2, 3000, table=spf_100k) == sum(values)
+
+
+class TestSieveWalk:
+    """The chunked multiplicative walk against pointwise oracles."""
+
+    @staticmethod
+    def g_k_oracle(k, n):
+        # multiplicative, g_k(p) = phi_k(p) - p^k at primes, 0 off squarefree n
+        value = 1
+        for p, e in factorize(n).factors:
+            if e > 1:
+                return 0
+            value *= phi_k(k, p) - p**k
+        return value
+
+    @staticmethod
+    def sample(limit):
+        # every 97th n, plus the last 2000 entries
+        return sorted(set(range(1, limit + 1, 97)) | set(range(max(1, limit - 1999), limit + 1)))
+
+    def test_across_chunk_boundaries(self, spf_100k):
+        limit = 70_000  # many chunks, ending inside the block [2^16, 2^17)
+        phi = phi_k_table(2, limit, table=spf_100k)
+        g = g_k_table(2, limit, table=spf_100k).values
+        assert len(phi) == len(g) == limit + 1
+        edges = [n + d for n in range(_CHUNK, limit, _CHUNK) for d in (-1, 0, 1)]
+        assert 2**16 in edges
+        for n in self.sample(limit) + edges:
+            assert phi[n] == phi_k(2, n), n
+            assert g[n] == self.g_k_oracle(2, n), n
+
+    def test_both_sides_of_the_int64_switch(self):
+        # 55108^4 < 2^63 <= 55109^4 and 6208^5 < 2^63 <= 6209^5
+        for k, limit in ((4, 55_108), (5, 6_208)):
+            assert limit**k < 2**63 <= (limit + 1) ** k
+            narrow = phi_k_table(k, limit)
+            wide = phi_k_table(k, limit + 1)
+            assert wide[:-1] == narrow
+            for n in self.sample(limit + 1):
+                assert wide[n] == phi_k(k, n), (k, n)
+        g_narrow = g_k_table(4, 55_108).values
+        g_wide = g_k_table(4, 55_109).values
+        assert g_wide[:-1] == g_narrow
+        for n in self.sample(55_109):
+            assert g_wide[n] == self.g_k_oracle(4, n), n
+
+    def test_passed_table(self, spf_100k):
+        # a larger sieve is read as it is; a smaller one is replaced
+        for k in (3, 6):
+            assert phi_k_table(k, 5000, table=spf_100k) == phi_k_table(k, 5000)
+        assert g_k_table(6, 5000, table=spf_100k) == g_k_table(6, 5000)
+        assert phi_k_table(2, 5000, table=build_spf(100)) == phi_k_table(2, 5000)
+
+    def test_every_element_is_an_int(self):
+        for k, limit in ((1, 3000), (4, 55_108), (4, 55_109), (9, 3000)):
+            assert all(type(v) is int for v in phi_k_table(k, limit)), (k, limit)
+        for k, limit in ((2, 3000), (4, 55_108), (4, 55_109), (10, 3000)):
+            assert all(type(v) is int for v in g_k_table(k, limit).values), (k, limit)
 
 
 class TestEulerConstant:

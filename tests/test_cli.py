@@ -77,6 +77,14 @@ class TestRhoCommand:
         assert result.exit_code == 3
         assert "budget" in result.output
 
+    def test_budget_exit_code_at_huge_k(self, runner):
+        # the refusal names n^k without building it or printing its digits
+        for k in ("1000000", str(2**63 - 1)):
+            result = run(runner, "rho", "-k", k, "-l", "0", "-n", "3")
+            assert result.exit_code == 3
+            assert f"enumerating 3^{k} tuples" in result.output
+            assert "Traceback" not in result.output
+
     def test_deep_k_at_modulus_8(self, runner):
         result = run(runner, "rho", "-k", "3000", "-l", "1", "-n", "8")
         assert result.exit_code == 0

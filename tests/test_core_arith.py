@@ -41,6 +41,15 @@ class TestSpfTable:
             assert p * p <= i or p == i
             assert (p == i) == naive_is_prime(i)
 
+    def test_primes_upto(self):
+        from sqtotient.core_arith import primes_upto
+
+        assert primes_upto(0) == primes_upto(1) == []
+        assert primes_upto(2) == [2]
+        primes = primes_upto(2000)
+        assert primes == [n for n in range(2001) if naive_is_prime(n)]
+        assert all(type(p) is int for p in primes)
+
 
 class TestFactorize:
     def test_examples(self):

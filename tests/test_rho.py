@@ -13,6 +13,7 @@ from sqtotient import (
     LebesgueTerms,
     closed_form_rho2,
     closed_form_rho4,
+    menon_lhs_brute,
     phi_k_brute,
     rho,
     rho_base_vector,
@@ -53,6 +54,26 @@ class TestCensusKernel:
             sum_of_squares_census(6, 50, guard=10**6)
         assert info.value.required == 50**6
         assert str(50**6) in str(info.value)
+
+    def test_budget_refuses_huge_k_without_the_power(self):
+        # 3^(2^63 - 1) cannot be built; 3^10^6 has more digits than Python prints
+        for k in (10**6, 2**63 - 1):
+            with pytest.raises(BudgetExceededError) as info:
+                sum_of_squares_census(k, 3)
+            assert info.value.required == f"3^{k}"
+            assert f"3^{k} tuples" in str(info.value)
+        with pytest.raises(BudgetExceededError):
+            rho_brute(2**63 - 1, 0, 3)
+        with pytest.raises(BudgetExceededError):
+            phi_k_brute(2**63 - 1, 3)
+        with pytest.raises(BudgetExceededError):
+            menon_lhs_brute(2**63 - 1, 3)
+        # below guard.bit_length() = 28 the exact power is compared
+        assert list(sum_of_squares_census(27, 2, guard=2**27)) == [2**26, 2**26]
+        with pytest.raises(BudgetExceededError) as info:
+            sum_of_squares_census(28, 2, guard=2**27)
+        assert info.value.required == "2^28"
+        assert list(sum_of_squares_census(5, 1, guard=1)) == [1]
 
     @given(st.integers(min_value=1, max_value=20), st.integers(min_value=1, max_value=4))
     @settings(max_examples=60, deadline=None)
