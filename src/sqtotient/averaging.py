@@ -34,9 +34,9 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from .core_arith import SpfTable, build_spf, primes_upto
+from .core_arith import BudgetExceededError, SpfTable, _check_sieve_limit, build_spf, primes_upto
 from .phi import even_k_sign, phi_k_prime_power
-from .rho import BudgetExceededError, _check_output_bits
+from .rho import _check_output_bits
 
 __all__ = [
     "EulerConstant",
@@ -133,7 +133,9 @@ def _multiplicative_table(limit: int, k: int, table: SpfTable | None, local) -> 
     chunk meets, since the blocks below it are already filled.
     |f(n)| <= n^k is required, which keeps the table in int64 while
     limit^k < 2^63 and in exact Python ints above. Slot 0 is a placeholder.
+    A limit above the sieve cap is refused before anything is allocated.
     """
+    _check_sieve_limit(limit, "multiplicative table")
     dtype = np.int64 if limit**k < 2**63 else object
     values = np.zeros(limit + 1, dtype=dtype)
     values[1] = 1

@@ -14,6 +14,7 @@ from math import gcd, isqrt
 import numpy as np
 
 __all__ = [
+    "BudgetExceededError",
     "Factorization",
     "SpfTable",
     "build_spf",
@@ -33,6 +34,31 @@ _TRIAL_BOUND = 1000
 # Witness set is deterministic for all n < 3.317e24, which comfortably covers
 # the 64-bit inputs this package promises to certify.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# Largest limit of a sieve table (the SPF sieve, and the multiplicative
+# tables walked over it): at 8 bytes or more per entry, each array takes
+# at least 128 MB here.
+_MAX_SIEVE_LIMIT = 1 << 24
+
+
+class BudgetExceededError(RuntimeError):
+    """Raised when a computation would exceed its resource budget.
+
+    ``required`` is the budget the computation needs: an int, or a power
+    written out as "n^k" when that number is too large to build. ``hint``
+    says how to raise the budget, for the budgets a caller sets.
+    """
+
+    def __init__(self, required: int | str, budget: int, what: str, hint: str = ""):
+        self.required = required
+        self.budget = budget
+        super().__init__(f"{what} needs a budget of {required}, over the limit of {budget}{hint}")
+
+
+def _check_sieve_limit(limit: int, what: str) -> None:
+    """Refuse a sieve table of more than _MAX_SIEVE_LIMIT entries before allocating it."""
+    if limit > _MAX_SIEVE_LIMIT:
+        raise BudgetExceededError(limit, _MAX_SIEVE_LIMIT, f"{what} sieve limit")
 
 
 @dataclass(frozen=True)
@@ -73,8 +99,7 @@ class SpfTable:
     """Smallest-prime-factor table for 2..limit.
 
     Entry i is the least prime dividing i; spf[p] == p exactly for primes.
-    Memory is 8 bytes per entry (int64), so a limit of 10^8 needs ~800 MB;
-    desk-scale use stays at or below 10^7.
+    Memory is 8 bytes per entry (int64); limits above 2^24 are refused.
     """
 
     limit: int
@@ -85,6 +110,7 @@ def build_spf(limit: int) -> SpfTable:
     """Sieve smallest prime factors for all integers up to ``limit``."""
     if limit < 2:
         raise ValueError(f"build_spf requires limit >= 2, got {limit}")
+    _check_sieve_limit(limit, "build_spf")
     spf = np.zeros(limit + 1, dtype=np.int64)
     for p in range(2, isqrt(limit) + 1):
         if spf[p] == 0:

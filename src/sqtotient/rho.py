@@ -33,7 +33,7 @@ from math import gcd
 
 import numpy as np
 
-from .core_arith import as_factorization, is_prime
+from .core_arith import BudgetExceededError, as_factorization, is_prime
 
 __all__ = [
     "DEFAULT_GUARD",
@@ -63,20 +63,6 @@ _CENSUS_MODULUS_CAP = 1 << 20
 # on the CLI and a count near n^k has about k log2 n bits; at this cap it
 # still renders as decimal in about two seconds.
 MAX_OUTPUT_BITS = 1 << 20
-
-
-class BudgetExceededError(RuntimeError):
-    """Raised when a computation would exceed its resource budget.
-
-    ``required`` is the budget the computation needs: an int, or a power
-    written out as "n^k" when that number is too large to build. ``hint``
-    says how to raise the budget, for the budgets a caller sets.
-    """
-
-    def __init__(self, required: int | str, budget: int, what: str, hint: str = ""):
-        self.required = required
-        self.budget = budget
-        super().__init__(f"{what} needs a budget of {required}, over the limit of {budget}{hint}")
 
 
 def _check_output_bits(k: int, factors, what: str) -> None:

@@ -1,17 +1,23 @@
 """Runnable verification suites: formulas against oracles and identities.
 
-Each suite scans a bounded range, stops at the first counterexample, and
-reports it; a passing check records what was covered. These back the CLI
-``verify`` subcommand and the acceptance tests.
+Each check is a generator over a bounded range of cases. It yields one
+outcome per case: None when the case holds, a counterexample string when
+it fails, or ``_SKIPPED`` when the enumeration guard refuses the oracle.
+One runner counts the outcomes, stops at the first counterexample, and
+reports either it or "<coverage>: N cases checked, M skipped by the
+guard". Suites whose work grows with the limit refuse a limit above a
+fixed cap before doing any work. These back the CLI ``verify``
+subcommand and the acceptance tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import gcd
 
 from .averaging import convolution_check, phi_k_table
-from .core_arith import factorize
+from .core_arith import BudgetExceededError, factorize
 from .menon import menon_classic
 from .phi import phi_k, phi_k_brute, phi_k_via_rho, phi_ratio_check, phi_k_via_jordan
 from .rho import (
@@ -45,369 +51,269 @@ class SuiteResult:
         return all(c.ok for c in self.checks)
 
 
-def _passed(name: str, covered: str) -> Check:
-    return Check(name=name, ok=True, detail=covered)
+_SKIPPED = object()
 
 
-def _failed(name: str, counterexample: str) -> Check:
-    return Check(name=name, ok=False, detail=f"first counterexample: {counterexample}")
-
-
-def _cases(checked: int, skipped: int) -> str:
-    return f"{checked} cases checked, {skipped} skipped by the guard"
-
-
-def check_closed_forms(k_max: int = 32, guard: int = DEFAULT_GUARD) -> Check:
-    """Closed forms = residue vector at 2, 4, 8 for every k (= guarded census where it fits)."""
-    name = "closed forms at moduli 2, 4, 8"
+def _run(name: str, coverage: str, outcomes) -> Check:
+    """Count the outcomes of one check; the first counterexample ends it."""
     checked = skipped = 0
+    for outcome in outcomes:
+        if outcome is None:
+            checked += 1
+        elif outcome is _SKIPPED:
+            skipped += 1
+        else:
+            return Check(name=name, ok=False, detail=f"first counterexample: {outcome}")
+    return Check(
+        name=name, ok=True, detail=f"{coverage}: {checked} cases checked, {skipped} skipped by the guard"
+    )
+
+
+def _guarded(moduli, k_max: int, guard: int):
+    """(n, k) for k <= k_max while n^k <= guard, then _SKIPPED for each larger k."""
+    for n in moduli:
+        for k in range(1, k_max + 1):
+            if n**k > guard:
+                yield from repeat(_SKIPPED, k_max - k + 1)
+                break
+            yield n, k
+
+
+_CLOSED_FORMS = {
+    2: lambda k, lam: closed_form_rho2(k),
+    4: closed_form_rho4,
+    8: trig_closed_form_rho8,
+}
+
+
+def _closed_forms(guard: int):
+    # every k is checked against the residue vector; a case is a census cross-check
     for modulus in (2, 4, 8):
-        censuses = {
-            k: sum_of_squares_census(k, modulus, guard)
-            for k in range(1, k_max + 1)
-            if modulus**k <= guard
-        }
-        checked += len(censuses)
-        skipped += k_max - len(censuses)
-        for k in range(1, k_max + 1):
-            vector = rho_base_vector(k, modulus)
+        for k in range(1, 33):
+            vector = rho_base_vector(k, modulus).counts
+            census = sum_of_squares_census(k, modulus, guard) if modulus**k <= guard else None
             for lam in range(1, modulus, 2):
-                if modulus == 2:
-                    closed = closed_form_rho2(k)
-                elif modulus == 4:
-                    closed = closed_form_rho4(k, lam)
-                else:
-                    closed = trig_closed_form_rho8(k, lam)
-                if closed != vector.counts[lam]:
-                    return _failed(
-                        name,
-                        f"k={k} lam={lam} mod {modulus}: closed {closed} != residue vector {vector.counts[lam]}",
-                    )
-                if k in censuses and closed != int(censuses[k][lam]):
-                    return _failed(
-                        name,
-                        f"k={k} lam={lam} mod {modulus}: closed {closed} != census {int(censuses[k][lam])}",
-                    )
-    return _passed(
-        name, f"k <= {k_max}, all odd residues; census cross-check: {_cases(checked, skipped)}"
-    )
+                closed = _CLOSED_FORMS[modulus](k, lam)
+                if closed != vector[lam]:
+                    yield f"k={k} lam={lam} mod {modulus}: closed {closed} != residue vector {vector[lam]}"
+                if census is not None and closed != int(census[lam]):
+                    yield f"k={k} lam={lam} mod {modulus}: closed {closed} != census {int(census[lam])}"
+            yield _SKIPPED if census is None else None
 
 
-def check_census_totals(n_max: int = 64, k_max: int = 8) -> Check:
-    """Residue-class counts sum to n^k (residue-vector route, no tuple guard)."""
-    name = "census totals n^k"
+def _census_totals(n_max: int):
+    # the residue-vector route has no tuple guard
     for n in range(1, n_max + 1):
-        for k in range(1, k_max + 1):
-            vector = rho_base_vector(k, n)
-            if sum(vector.counts) != n**k:
-                return _failed(name, f"n={n} k={k}")
-    return _passed(name, f"n <= {n_max}, k <= {k_max}")
+        for k in range(1, 9):
+            yield f"n={n} k={k}" if sum(rho_base_vector(k, n).counts) != n**k else None
 
 
-def check_rho_prime_powers(
-    odd_bound: int = 729,
-    two_bound: int = 256,
-    k_max: int = 6,
-    guard: int = DEFAULT_GUARD,
-) -> Check:
-    """Formula equals exhaustive census at prime-power moduli, unit residues."""
-    name = "prime-power formula vs enumeration"
-    moduli = []
-    for p in range(3, odd_bound + 1, 2):
-        f = factorize(p)
-        if len(f.factors) == 1:
-            moduli.append(p)
-    q = 2
-    while q <= two_bound:
-        moduli.append(q)
-        q *= 2
-    checked = skipped = 0
-    for n in sorted(moduli):
-        for k in range(1, k_max + 1):
-            if n**k > guard:
-                skipped += k_max - k + 1
-                break
-            checked += 1
-            census = sum_of_squares_census(k, n, guard)
-            for lam in range(1, n):
-                if gcd(lam, n) != 1:
-                    continue
-                formula = rho(k, lam, n)
-                if formula != int(census[lam]):
-                    return _failed(
-                        name, f"k={k} lam={lam} n={n}: formula {formula} != census {int(census[lam])}"
-                    )
-    return _passed(
-        name,
-        f"odd prime powers <= {odd_bound}, powers of two <= {two_bound}, k <= {k_max}: "
-        + _cases(checked, skipped),
-    )
+def _formula_vs_census(moduli, guard: int):
+    for case in _guarded(moduli, 6, guard):
+        if case is _SKIPPED:
+            yield case
+            continue
+        n, k = case
+        census = sum_of_squares_census(k, n, guard)
+        for lam in range(n):
+            if gcd(lam, n) == 1 and (formula := rho(k, lam, n)) != int(census[lam]):
+                yield f"k={k} lam={lam} n={n}: formula {formula} != census {int(census[lam])}"
+        yield None
 
 
-def check_rho_general(limit: int, k_max: int = 6, guard: int = DEFAULT_GUARD) -> Check:
-    """Formula equals exhaustive census at every modulus <= limit."""
-    name = "general-modulus formula vs enumeration"
-    checked = skipped = 0
-    for n in range(1, limit + 1):
-        for k in range(1, k_max + 1):
-            if n**k > guard:
-                skipped += k_max - k + 1
-                break
-            checked += 1
-            census = sum_of_squares_census(k, n, guard)
-            for lam in range(n):
-                if gcd(lam, n) != 1:
-                    continue
-                formula = rho(k, lam, n)
-                if formula != int(census[lam]):
-                    return _failed(
-                        name, f"k={k} lam={lam} n={n}: formula {formula} != census {int(census[lam])}"
-                    )
-    return _passed(name, f"n <= {limit}, unit residues, k <= {k_max}: {_cases(checked, skipped)}")
-
-
-def check_rho_multiplicativity(bound: int = 24, k_max: int = 5, guard: int = DEFAULT_GUARD) -> Check:
-    """rho(k, lam, mn) = rho(k, lam mod m, m) rho(k, lam mod n, n), coprime m, n."""
-    name = "residue-count multiplicativity"
-    checked = skipped = 0
+def _multiplicativity(bound: int, guard: int):
+    # rho(k, lam, mn) = rho(k, lam mod m, m) rho(k, lam mod n, n) for coprime m, n
     for m in range(2, bound + 1):
         for n in range(m + 1, bound + 1):
             if gcd(m, n) != 1:
                 continue
-            for k in range(1, k_max + 1):
-                if (m * n) ** k > guard:
-                    skipped += k_max - k + 1
-                    break
-                checked += 1
-                census = sum_of_squares_census(k, m * n, guard)
-                for lam in range(m * n):
-                    if gcd(lam, m * n) != 1:
-                        continue
-                    split = rho(k, lam % m, m) * rho(k, lam % n, n)
-                    if split != int(census[lam]):
-                        return _failed(name, f"k={k} lam={lam} m={m} n={n}")
-    return _passed(name, f"coprime pairs <= {bound}, k <= {k_max}: {_cases(checked, skipped)}")
-
-
-def check_lifting_steps(guard: int = DEFAULT_GUARD) -> Check:
-    """One-step lifts: p^(k-1) per extra exponent (odd p everywhere, 2 from s >= 3)."""
-    name = "prime-power lifting steps"
-    checked = skipped = 0
-    for p in (3, 5):
-        for s in range(1, 4):
-            for k in range(1, 4):
-                if p ** ((s + 1) * k) > guard:
-                    skipped += 1
+            for case in _guarded((m * n,), 5, guard):
+                if case is _SKIPPED:
+                    yield case
                     continue
-                checked += 1
-                low = sum_of_squares_census(k, p**s, guard)
-                high = sum_of_squares_census(k, p ** (s + 1), guard)
-                for lam in range(p ** (s + 1)):
-                    if lam % p == 0:
-                        continue
-                    if int(high[lam]) != p ** (k - 1) * int(low[lam % p**s]):
-                        return _failed(name, f"p={p} s={s} k={k} lam={lam}")
-    for s in (3, 4):
+                mn, k = case
+                census = sum_of_squares_census(k, mn, guard)
+                for lam in range(mn):
+                    if gcd(lam, mn) == 1 and rho(k, lam % m, m) * rho(k, lam % n, n) != int(census[lam]):
+                        yield f"k={k} lam={lam} m={m} n={n}"
+                yield None
+
+
+def _lifting_steps(guard: int):
+    # one step p^s -> p^(s+1) multiplies each unit count by p^(k-1): odd p
+    # from s = 1, p = 2 from s = 3
+    for p, s in [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (5, 3), (2, 3), (2, 4)]:
         for k in range(1, 4):
-            if 2 ** ((s + 1) * k) > guard:
-                skipped += 1
+            if p ** ((s + 1) * k) > guard:
+                yield _SKIPPED
                 continue
-            checked += 1
-            low = sum_of_squares_census(k, 2**s, guard)
-            high = sum_of_squares_census(k, 2 ** (s + 1), guard)
-            for lam in range(1, 2 ** (s + 1), 2):
-                if int(high[lam]) != 2 ** (k - 1) * int(low[lam % 2**s]):
-                    return _failed(name, f"p=2 s={s} k={k} lam={lam}")
-    return _passed(
-        name, f"p in (3, 5) s <= 3 and p = 2 s in (3, 4), k <= 3: {_cases(checked, skipped)}"
-    )
+            low = sum_of_squares_census(k, p**s, guard)
+            high = sum_of_squares_census(k, p ** (s + 1), guard)
+            for lam in range(p ** (s + 1)):
+                if lam % p and int(high[lam]) != p ** (k - 1) * int(low[lam % p**s]):
+                    yield f"p={p} s={s} k={k} lam={lam}"
+            yield None
 
 
-def verify_rho(limit: int, guard: int = DEFAULT_GUARD) -> SuiteResult:
-    checks = [
-        check_closed_forms(guard=guard),
-        check_census_totals(n_max=min(limit, 64)),
-        check_rho_prime_powers(
-            odd_bound=min(limit, 729), two_bound=min(limit, 256), guard=guard
+def _rho(limit: int, guard: int) -> list[Check]:
+    odd_bound, two_bound = min(limit, 729), min(limit, 256)
+    prime_powers = [q for q in range(3, odd_bound + 1, 2) if len(factorize(q).factors) == 1]
+    prime_powers += [1 << j for j in range(1, two_bound.bit_length())]
+    n_max, general, pairs = min(limit, 64), min(limit, 100), min(limit, 24)
+    return [
+        _run(
+            "closed forms at moduli 2, 4, 8",
+            "k <= 32, all odd residues; census cross-check",
+            _closed_forms(guard),
         ),
-        check_rho_general(limit=min(limit, 100), guard=min(guard, 10**6)),
-        check_rho_multiplicativity(bound=min(limit, 24), guard=min(guard, 10**6)),
-        check_lifting_steps(guard=guard),
+        _run("census totals n^k", f"n <= {n_max}, k <= 8", _census_totals(n_max)),
+        _run(
+            "prime-power formula vs enumeration",
+            f"odd prime powers <= {odd_bound}, powers of two <= {two_bound}, k <= 6",
+            _formula_vs_census(sorted(prime_powers), guard),
+        ),
+        _run(
+            "general-modulus formula vs enumeration",
+            f"n <= {general}, unit residues, k <= 6",
+            _formula_vs_census(range(1, general + 1), min(guard, 10**6)),
+        ),
+        _run(
+            "residue-count multiplicativity",
+            f"coprime pairs <= {pairs}, k <= 5",
+            _multiplicativity(pairs, min(guard, 10**6)),
+        ),
+        _run(
+            "prime-power lifting steps",
+            "p in (3, 5) s <= 3 and p = 2 s in (3, 4), k <= 3",
+            _lifting_steps(guard),
+        ),
     ]
-    return SuiteResult(suite="rho", limit=limit, checks=checks)
 
 
-def verify_phi(limit: int, guard: int = DEFAULT_GUARD, k_max: int = 4) -> SuiteResult:
-    name = "three-route agreement"
-    checks = []
-    failure = None
-    checked = skipped = 0
-    for n in range(1, limit + 1):
-        for k in range(1, k_max + 1):
-            if n**k > guard:
-                skipped += k_max - k + 1
-                break
-            checked += 1
-            closed = phi_k(k, n)
-            brute = phi_k_brute(k, n, guard)
-            via = phi_k_via_rho(k, n)
-            if not closed == brute == via:
-                failure = f"k={k} n={n}: closed {closed}, enumerated {brute}, residue-sum {via}"
-                break
-        if failure:
-            break
-    if failure:
-        checks.append(_failed(name, failure))
-    else:
-        checks.append(_passed(name, f"n <= {limit}, k <= {k_max}: {_cases(checked, skipped)}"))
-    return SuiteResult(suite="phi", limit=limit, checks=checks)
+def _three_routes(limit: int, guard: int):
+    for case in _guarded(range(1, limit + 1), 4, guard):
+        if case is _SKIPPED:
+            yield case
+            continue
+        n, k = case
+        closed, brute, via = phi_k(k, n), phi_k_brute(k, n, guard), phi_k_via_rho(k, n)
+        yield None if closed == brute == via else (
+            f"k={k} n={n}: closed {closed}, enumerated {brute}, residue-sum {via}"
+        )
 
 
-def verify_identities(limit: int) -> SuiteResult:
-    checks = []
-    # largest modulus any sub-check reads: products of the gcd-identity pairs
-    top = max(min(limit, 200), min(limit, 500), min(limit, 100) ** 2, min(limit, 1000))
-    tables = {k: phi_k_table(k, top) for k in (1, 2, 3, 4)}
+def _phi(limit: int, guard: int) -> list[Check]:
+    return [_run("three-route agreement", f"n <= {limit}, k <= 4", _three_routes(limit, guard))]
 
-    def value(k, n):
-        return tables[k][n] if n < len(tables[k]) else phi_k(k, n)
 
-    name = "multiplicativity"
-    bound = min(limit, 200)
-    bad = None
+# The identity checks read phi_k(n) from sieve tables as t[k][n], indexed in
+# the loops themselves: a helper call per case costs more than the check.
+
+
+def _table_multiplicativity(t, bound: int):
     for m in range(1, bound + 1):
         for n in range(1, bound // m + 1):
-            if gcd(m, n) != 1:
-                continue
-            for k in (1, 2, 3, 4):
-                if value(k, m * n) != value(k, m) * value(k, n):
-                    bad = f"k={k} m={m} n={n}"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    checks.append(_failed(name, bad) if bad else _passed(name, f"coprime products <= {bound}, k <= 4"))
+            if gcd(m, n) == 1:
+                for k in (1, 2, 3, 4):
+                    yield f"k={k} m={m} n={n}" if t[k][m * n] != t[k][m] * t[k][n] else None
 
-    name = "divisibility along divisors"
-    bound = min(limit, 500)
-    bad = None
+
+def _divisibility(t, bound: int):
     for m in range(1, bound + 1):
         for n in range(1, m + 1):
-            if m % n:
-                continue
-            for k in (1, 2, 3, 4):
-                if value(k, m) % value(k, n):
-                    bad = f"k={k} n={n} m={m}"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    checks.append(_failed(name, bad) if bad else _passed(name, f"n | m <= {bound}, k <= 4"))
+            if m % n == 0:
+                for k in (1, 2, 3, 4):
+                    yield f"k={k} n={n} m={m}" if t[k][m] % t[k][n] else None
 
-    name = "gcd identity"
-    bound = min(limit, 100)
-    bad = None
+
+def _gcd_identity(t, bound: int):
     for m in range(1, bound + 1):
         for n in range(1, bound + 1):
             d = gcd(m, n)
             for k in (1, 2, 3):
-                if value(k, m * n) * value(k, d) != d**k * value(k, m) * value(k, n):
-                    bad = f"k={k} m={m} n={n}"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    checks.append(_failed(name, bad) if bad else _passed(name, f"m, n <= {bound}, k <= 3"))
+                yield f"k={k} m={m} n={n}" if t[k][m * n] * t[k][d] != d**k * t[k][m] * t[k][n] else None
 
-    name = "power identity"
-    bound = min(limit, 50)
-    bad = None
+
+def _power_identity(t, bound: int):
     for n in range(1, bound + 1):
         for m in range(1, 5):
             for k in (1, 2, 3):
-                if phi_k(k, n**m) != n ** (k * (m - 1)) * value(k, n):
-                    bad = f"k={k} n={n} m={m}"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    checks.append(_failed(name, bad) if bad else _passed(name, f"n <= {bound}, powers <= 4, k <= 3"))
+                yield f"k={k} n={n} m={m}" if phi_k(k, n**m) != n ** (k * (m - 1)) * t[k][n] else None
 
-    name = "Jordan route"
-    bound = min(limit, 300)
-    bad = None
+
+def _jordan_route(bound: int):
     for k in (4, 8):
         for n in range(1, bound + 1):
-            if phi_k_via_jordan(k, n) != phi_k(k, n):
-                bad = f"k={k} n={n}"
-                break
-        if bad:
-            break
-    checks.append(_failed(name, bad) if bad else _passed(name, f"k in (4, 8), n <= {bound}"))
+            yield f"k={k} n={n}" if phi_k_via_jordan(k, n) != phi_k(k, n) else None
 
-    name = "quarter-order ratio"
-    bound = min(limit, 100)
-    bad = None
+
+def _quarter_ratio(bound: int):
     for k in (4, 12):
         for n in range(1, bound + 1):
             lhs, rhs = phi_ratio_check(k, n)
-            if lhs != rhs:
-                bad = f"k={k} n={n}: {lhs} != {rhs}"
-                break
-        if bad:
-            break
-    checks.append(_failed(name, bad) if bad else _passed(name, f"k in (4, 12), n <= {bound}"))
+            yield f"k={k} n={n}: {lhs} != {rhs}" if lhs != rhs else None
 
-    name = "parity"
-    bound = min(limit, 1000)
-    bad = None
+
+def _parity(t, bound: int):
     for n in range(3, bound + 1):
         for k in (1, 2, 3, 4):
-            if value(k, n) % 2:
-                bad = f"k={k} n={n}"
-                break
-        if bad:
-            break
-    checks.append(_failed(name, bad) if bad else _passed(name, f"3 <= n <= {bound}, k <= 4"))
-
-    return SuiteResult(suite="identities", limit=limit, checks=checks)
+            yield f"k={k} n={n}" if t[k][n] % 2 else None
 
 
-def verify_convolution(limit: int) -> SuiteResult:
-    checks = []
-    for k in (2, 4):
-        report = convolution_check(k, limit)
-        name = f"convolution identity k={k}"
-        if report.ok:
-            checks.append(_passed(name, f"n <= {limit}"))
-        else:
-            n, expected, got = report.first_mismatch
-            checks.append(_failed(name, f"n={n}: expected {expected}, convolution {got}"))
-    return SuiteResult(suite="convolution", limit=limit, checks=checks)
+def _identities(limit: int, guard: int) -> list[Check]:
+    mult, div, gcds, power, jordan, ratio, parity = (
+        min(limit, b) for b in (200, 500, 100, 50, 300, 100, 1000)
+    )
+    # the largest index read: products of the gcd-identity pairs
+    top = max(mult, div, gcds**2, parity)
+    t = [None] + [phi_k_table(k, top) for k in (1, 2, 3, 4)]
+    return [
+        _run("multiplicativity", f"coprime products <= {mult}, k <= 4", _table_multiplicativity(t, mult)),
+        _run("divisibility along divisors", f"n | m <= {div}, k <= 4", _divisibility(t, div)),
+        _run("gcd identity", f"m, n <= {gcds}, k <= 3", _gcd_identity(t, gcds)),
+        _run("power identity", f"n <= {power}, powers <= 4, k <= 3", _power_identity(t, power)),
+        _run("Jordan route", f"k in (4, 8), n <= {jordan}", _jordan_route(jordan)),
+        _run("quarter-order ratio", f"k in (4, 12), n <= {ratio}", _quarter_ratio(ratio)),
+        _run("parity", f"3 <= n <= {parity}, k <= 4", _parity(t, parity)),
+    ]
 
 
-def verify_menon_classic(limit: int) -> SuiteResult:
-    name = "unit gcd-sum identity"
+def _convolution_identity(k: int, limit: int):
+    report = convolution_check(k, limit)
+    if not report.ok:
+        n, expected, got = report.first_mismatch
+        yield f"n={n}: expected {expected}, convolution {got}"
+    yield from repeat(None, limit)
+
+
+def _convolution(limit: int, guard: int) -> list[Check]:
+    return [
+        _run(f"convolution identity k={k}", f"n <= {limit}", _convolution_identity(k, limit))
+        for k in (2, 4)
+    ]
+
+
+def _unit_gcd_sums(limit: int):
     for n in range(1, limit + 1):
         lhs, rhs = menon_classic(n)
-        if lhs != rhs:
-            check = _failed(name, f"n={n}: {lhs} != {rhs}")
-            break
-    else:
-        check = _passed(name, f"n <= {limit}")
-    return SuiteResult(suite="menon-classic", limit=limit, checks=[check])
+        yield f"n={n}: {lhs} != {rhs}" if lhs != rhs else None
 
 
+def _menon_classic(limit: int, guard: int) -> list[Check]:
+    return [_run("unit gcd-sum identity", f"n <= {limit}", _unit_gcd_sums(limit))]
+
+
+# Each suite with the largest limit it accepts where its work grows with
+# the limit: phi counts every n^k census under the guard, menon-classic
+# takes O(limit^2) gcds, and convolution builds a sieve and four tables of
+# limit + 1 entries (about 250 MB peak RSS at its cap). Each cap costs
+# seconds of CPU. rho and identities clamp every bound themselves.
 SUITES = {
-    "rho": verify_rho,
-    "phi": verify_phi,
-    "identities": verify_identities,
-    "convolution": verify_convolution,
-    "menon-classic": verify_menon_classic,
+    "rho": (_rho, None),
+    "phi": (_phi, 1 << 10),
+    "identities": (_identities, None),
+    "convolution": (_convolution, 1 << 20),
+    "menon-classic": (_menon_classic, 1 << 14),
 }
 
 
@@ -415,7 +321,7 @@ def run_suite(suite: str, limit: int, guard: int = DEFAULT_GUARD) -> SuiteResult
     """Run one named suite at the given limit."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
-    runner = SUITES[suite]
-    if suite in ("rho", "phi"):
-        return runner(limit, guard=guard)
-    return runner(limit)
+    checks, largest = SUITES[suite]
+    if largest is not None and limit > largest:
+        raise BudgetExceededError(limit, largest, f"the {suite} suite's limit")
+    return SuiteResult(suite=suite, limit=limit, checks=checks(limit, guard))

@@ -30,13 +30,7 @@ from sqtotient import (
     sum_of_squares_census,
     trig_closed_form_rho8,
 )
-from sqtotient.verify import (
-    check_closed_forms,
-    check_rho_prime_powers,
-    verify_convolution,
-    verify_identities,
-    verify_menon_classic,
-)
+from sqtotient.verify import run_suite
 
 GUARD = 10**8
 
@@ -73,14 +67,15 @@ def test_criterion_01_three_route_oracle_equivalence():
 
 def test_criterion_02_rho_formula_vs_oracle_prime_powers():
     started = time.time()
-    check = check_rho_prime_powers(odd_bound=729, two_bound=256, k_max=6, guard=GUARD)
+    rows = {c.name: c for c in run_suite("rho", 729, guard=GUARD).checks}
+    check = rows["prime-power formula vs enumeration"]
     trio = (rho_brute(1, 1, 4), rho_brute(2, 1, 4), rho_brute(3, 1, 4)) == (2, 8, 24)
     _conclude(
         2,
         "rho formula = enumeration on prime powers (odd <= 729, two-power <= 256), plus the 2/8/24 anchors",
-        check.ok and trio,
+        check.ok and check.detail.endswith("477 cases checked, 429 skipped by the guard") and trio,
         started,
-        "" if check.ok else check.detail,
+        check.detail,
     )
 
 
@@ -120,7 +115,7 @@ def test_criterion_03_closed_forms_recurrence_oracle():
 
 def test_criterion_04_identity_suite():
     started = time.time()
-    result = verify_identities(1000)
+    result = run_suite("identities", 1000)
     failures = [c for c in result.checks if not c.ok]
     _conclude(
         4,
@@ -133,7 +128,7 @@ def test_criterion_04_identity_suite():
 
 def test_criterion_05_convolution_identity():
     started = time.time()
-    result = verify_convolution(500)
+    result = run_suite("convolution", 500)
     failures = [c for c in result.checks if not c.ok]
     _conclude(
         5,

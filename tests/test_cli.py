@@ -61,6 +61,22 @@ class TestPhiCommand:
         assert run(runner, "phi", "-k", "0", "-n", "5").exit_code == 2
         assert run(runner, "phi", "-k", "1", "-n", str(2**63)).exit_code == 2
 
+    def test_sieve_size_guard(self, runner):
+        # a sieve table at 3 * 10^8 would take 2.4 GB per array
+        for args in (
+            ("phi", "-k", "2", "--range", "300000000"),
+            ("report", "average", "-k", "1", "--xs", "3,300000000"),
+        ):
+            tracemalloc.start()
+            try:
+                result = run(runner, *args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert result.exit_code == 3
+            assert "sieve limit needs a budget of 300000000" in result.output
+            assert peak < 10**7
+
 
 class TestRhoCommand:
     def test_formula_path(self, runner):
@@ -137,6 +153,13 @@ class TestVerifyCommand:
         # moduli 2, 3, 4, 5, 7, 8, 9 at k <= 6; 4^5, 5^5, 7^4, 8^4, 9^4 and
         # every higher power pass the 1000-tuple guard
         assert detail.endswith("29 cases checked, 13 skipped by the guard")
+
+    @pytest.mark.parametrize("suite, cap", [("phi", 2**10), ("menon-classic", 2**14), ("convolution", 2**20)])
+    def test_limit_cap_exit_code(self, runner, suite, cap):
+        result = run(runner, "verify", suite, "--limit", str(cap + 1))
+        assert result.exit_code == 3
+        assert f"over the limit of {cap}" in result.output
+        assert "Traceback" not in result.output
 
     def test_unknown_suite_is_usage_error(self, runner):
         assert run(runner, "verify", "nonsense").exit_code == 2

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sympy import factorint, nextprime
 
 from sqtotient import (
+    BudgetExceededError,
     Factorization,
     build_spf,
     divisor_count,
@@ -31,6 +32,11 @@ class TestSpfTable:
     def test_rejects_tiny_limit(self):
         with pytest.raises(ValueError):
             build_spf(1)
+
+    def test_size_guard(self):
+        with pytest.raises(BudgetExceededError, match="build_spf sieve limit") as info:
+            build_spf(2**24 + 1)
+        assert (info.value.required, info.value.budget) == (2**24 + 1, 2**24)
 
     def test_invariants(self):
         table = build_spf(2000)

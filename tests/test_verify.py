@@ -1,0 +1,121 @@
+"""Verification suites: failure reporting, case counts and limit caps."""
+
+import re
+
+import pytest
+
+import sqtotient.verify as verify
+from sqtotient import BudgetExceededError, ConvolutionReport
+from sqtotient.verify import SUITES, run_suite
+
+
+def _off_by_one_at_7(real):
+    def fake(k, *args):
+        value = real(k, *args)
+        return value + 1 if args[-1] == 7 else value
+
+    return fake
+
+
+def _table_off_by_one_at_7(real):
+    def fake(k, x, table=None):
+        values = real(k, x, table)
+        values[7] += 1
+        return values
+
+    return fake
+
+
+def _convolution_fails_at_7_for_k4(real):
+    def fake(k, limit, table=None):
+        if k == 4:
+            return ConvolutionReport(k=k, limit=limit, ok=False, first_mismatch=(7, 1, 2))
+        return real(k, limit, table)
+
+    return fake
+
+
+def _menon_lhs_off_by_one_at_7(real):
+    def fake(n):
+        lhs, rhs = real(n)
+        return (lhs + 1 if n == 7 else lhs), rhs
+
+    return fake
+
+
+# (suite, limit, callee patched in sqtotient.verify, patch, first counterexample per failing check)
+FAULTS = [
+    (
+        "rho", 20, "rho", _off_by_one_at_7,
+        {
+            "prime-power formula vs enumeration": "k=1 lam=1 n=7: formula 3 != census 2",
+            "general-modulus formula vs enumeration": "k=1 lam=1 n=7: formula 3 != census 2",
+            "residue-count multiplicativity": "k=1 lam=1 m=2 n=7",
+        },
+    ),
+    (
+        "phi", 30, "phi_k", _off_by_one_at_7,
+        {"three-route agreement": "k=1 n=7: closed 7, enumerated 6, residue-sum 6"},
+    ),
+    (
+        "identities", 200, "phi_k", _off_by_one_at_7,
+        {"power identity": "k=1 n=7 m=1", "Jordan route": "k=4 n=7"},
+    ),
+    (
+        "identities", 200, "phi_k_table", _table_off_by_one_at_7,
+        {
+            "multiplicativity": "k=1 m=2 n=7",
+            "divisibility along divisors": "k=1 n=7 m=14",
+            "gcd identity": "k=1 m=2 n=7",
+            "power identity": "k=1 n=7 m=1",
+            "parity": "k=1 n=7",
+        },
+    ),
+    (
+        "convolution", 50, "convolution_check", _convolution_fails_at_7_for_k4,
+        {"convolution identity k=4": "n=7: expected 1, convolution 2"},
+    ),
+    (
+        "menon-classic", 50, "menon_classic", _menon_lhs_off_by_one_at_7,
+        {"unit gcd-sum identity": "n=7: 13 != 12"},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, limit, callee, patch, failures", FAULTS, ids=[f"{f[0]}-{f[2]}" for f in FAULTS]
+)
+def test_first_counterexample_is_reported(monkeypatch, suite, limit, callee, patch, failures):
+    monkeypatch.setattr(verify, callee, patch(getattr(verify, callee)))
+    result = run_suite(suite, limit)
+    assert not result.ok
+    reported = {c.name: c.detail for c in result.checks if not c.ok}
+    assert reported == {name: f"first counterexample: {case}" for name, case in failures.items()}
+
+
+def test_counts_match_the_checked_cases():
+    details = [c.detail for c in run_suite("rho", 20).checks]
+    counted = [details[i].rsplit(": ", 1)[1] for i in (0, 2, 3, 4, 5)]
+    assert counted == [
+        f"{checked} cases checked, {skipped} skipped by the guard"
+        for checked, skipped in ((47, 49), (72, 0), (105, 15), (290, 250), (23, 1))
+    ]
+    assert details[1] == "n <= 20, k <= 8: 160 cases checked, 0 skipped by the guard"
+    (phi,) = run_suite("phi", 30).checks
+    assert phi.detail == "n <= 30, k <= 4: 120 cases checked, 0 skipped by the guard"
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_every_check_reports_its_counts(suite):
+    for check in run_suite(suite, 10).checks:
+        assert check.ok
+        assert re.search(r": \d+ cases checked, \d+ skipped by the guard$", check.detail), check
+
+
+@pytest.mark.parametrize("suite", ["phi", "convolution", "menon-classic"])
+def test_limit_cap_refuses_before_any_work(monkeypatch, suite):
+    _, largest = SUITES[suite]
+    monkeypatch.setattr(verify, "SUITES", {**SUITES, suite: (None, largest)})
+    with pytest.raises(BudgetExceededError) as info:
+        run_suite(suite, largest + 1)
+    assert (info.value.required, info.value.budget) == (largest + 1, largest)
