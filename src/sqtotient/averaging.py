@@ -9,16 +9,21 @@ with
 s_p = (-1)^(k(p-1)/4). The tables are exact integers, built from the
 prime-power values by one SPF sieve and a multiplicative walk that fills
 whole chunks of n at once in numpy (int64 while limit^k < 2^63, Python
-ints above); the constants are high-precision reals carrying a certified
-truncation bound.
+ints above); the constants are high-precision reals within a certified
+bound of the true value.
 
-A plainly truncated product converges like 1/(P log P), which would need
-P ~ 10^9 for nine digits. Instead the product is rearranged: the factors
-(1 - 1/p^2) and (1 - s_p/p^m), m = k/2 + 1, are pulled out and replaced by
-their closed forms (zeta and Dirichlet-beta values), leaving a residual
-product whose log-factors are bounded by 1.4/p^(m+1). The certified tail
-is then the crude integral bound 1.4 * P^(-m)/m, small already at P in the
-tens of thousands.
+A plainly truncated product converges like 1/(P log P). Instead each
+constant is evaluated by Cohen's method (H. Cohen, "High precision
+computation of Hardy-Littlewood constants", 1998). The factors
+(1 - 1/p^2) and (1 - s_p/p^m), m = k/2 + 1, are pulled out in closed form
+(zeta and Dirichlet-beta values), leaving residual factors h_p, ratios of
+polynomials in 1/p whose coefficients are affine in s_p. The primes
+p <= 64 are multiplied explicitly; for p > 64 the series of log h_p in
+powers of 1/p is summed exactly through prime zeta values, which are
+Mobius sums of log zeta and log L(., chi_4) with their small Euler factors
+removed. The bound covers the truncated series, the truncated Mobius sums
+and rounding, and it is met at a working precision of tol's digits plus
+ten: about a millisecond at tol 1e-9, a tenth of a second at 1e-118.
 
 Also here: the multiplicative coefficients g_k with phi_k = id_k * g_k
 (Dirichlet convolution), an exact convolution checker, and the minimal
@@ -28,13 +33,22 @@ order scan along primorials, whose ratio tends to exp(-gamma) for odd k.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
 
-from .core_arith import BudgetExceededError, SpfTable, _check_sieve_limit, build_spf, primes_upto
+from .core_arith import (
+    BudgetExceededError,
+    SpfTable,
+    _check_sieve_limit,
+    build_spf,
+    factorize,
+    primes_upto,
+)
 from .phi import even_k_sign, phi_k_prime_power
 from .rho import _check_output_bits
 
@@ -53,25 +67,27 @@ __all__ = [
     "minimal_order_scan",
 ]
 
-# |log h_p| <= _C_LOG / p^d for every residual factor family used below;
-# see _residual_tail for the derivation.
-_C_LOG = 1.4
-
+# Working precision in decimal digits: at least _WORK_DPS, and tol's own
+# digits plus ten for the constants. Past _MAX_WORK_DPS (tol below about
+# 10^-118) a constant is refused.
 _WORK_DPS = 30
+_MAX_WORK_DPS = 128
 
-# Largest sieve an Euler product may ask primes_upto for: about 17 MB of
-# flags and a million primes, 128 times the 2^17 that tol 3e-10 needs.
-_MAX_PRIME_BOUND = 1 << 24
+# Primes multiplied explicitly in an Euler product; the rest is the
+# prime-zeta tail series.
+_DEFAULT_PRIME_BOUND = 64
 
 _MAX_PRIMORIAL_PRIMES = 10_000
 
 
 @dataclass(frozen=True)
 class EulerConstant:
-    """A computed asymptotic constant with a certified truncation bound.
+    """A computed asymptotic constant with a certified error bound.
 
-    ``value`` is guaranteed to lie within ``tail_bound`` of the value the
-    same computation yields at any larger prime bound.
+    ``value`` lies within ``tail_bound`` of the constant itself. The bound
+    covers the truncated prime-zeta tail series and rounding. The primes up
+    to ``prime_bound`` are multiplied explicitly (0 when the constant has a
+    closed form).
     """
 
     k: int
@@ -192,132 +208,276 @@ def partial_sum(k: int, x: int, table: SpfTable | None = None) -> int:
     return sum(phi_k_table(k, x, table=table))
 
 
-def _dirichlet_beta(s) -> mp.mpf:
-    # L(s, chi_4) through the Hurwitz zeta function
-    return mp.mpf(4) ** (-s) * (mp.zeta(s, mp.mpf(1) / 4) - mp.zeta(s, mp.mpf(3) / 4))
+@dataclass(frozen=True)
+class _Family:
+    """An Euler product C = scale * prod_{p > 2} num(1/p), in Cohen's form.
 
-
-def _odd_prime_zeta_product(s: int) -> mp.mpf:
-    # prod_{p odd} (1 - p^-s) in closed form
-    return 1 / (mp.zeta(s) * (1 - mp.mpf(2) ** (-s)))
-
-
-def _residual_tail(p_bound: int, decay: int) -> mp.mpf:
-    """Certified bound on sum_{p > P} |log h_p| when |log h_p| <= C/p^decay.
-
-    Every residual family below satisfies |h_p - 1| <= 1.27/p^decay (the
-    numerator is below 1 and the pulled-out denominators are >= (8/9)^2),
-    hence |log h_p| <= 1.33/p^decay; 1.4 adds margin. Primes are then
-    replaced by all integers and the sum by the integral, so the bound is
-    crude but unconditional.
+    With x = 1/p and s = chi_4(p), ``num`` is 1 plus the terms (e, a, b),
+    each (a + b*s) x^e, and ``den`` lists factors (e, t) of
+    den = prod (1 - s^t x^e). The den part of the product has a closed form
+    (zeta and Dirichlet-beta values); what is left is the residual
+    h_p = num/den = 1 + O(x^decay). ``decay`` is stated by each family and
+    checked against the log series.
     """
-    return mp.mpf(_C_LOG) * p_bound ** (1 - decay) / (decay - 1)
+
+    scale: Fraction
+    num: tuple[tuple[int, int, int], ...]
+    den: tuple[tuple[int, int], ...]
+    decay: int
+
+    @property
+    def root_bound(self) -> int:
+        # every inverse root of num has modulus <= 1 + max |a + b*s| (Cauchy);
+        # those of den lie on the unit circle
+        return 1 + max(abs(a + b * s) for _, a, b in self.num for s in (1, -1))
+
+    @property
+    def degree(self) -> int:
+        # the number of inverse roots of num and den together
+        return max(e for e, _, _ in self.num) + sum(e for e, _ in self.den)
 
 
-def _product_factor(k: int, p) -> mp.mpf:
-    sign = even_k_sign(k, int(p))
-    return 1 - 1 / p**2 - sign * (p - 1) / p ** (k // 2 + 2)
-
-
-def _pulled_out_base(k: int, p) -> mp.mpf:
+def _euler_family(k: int) -> _Family:
+    # 1 - x^2 - s(x^m - x^(m+1)) over (1 - x^2)(1 - s x^m), m = k/2 + 1,
+    # with s = chi_4(p) when k = 2 mod 4 (t = 1) and s = 1 when 4 | k (t = 0)
     m = k // 2 + 1
-    sign = even_k_sign(k, int(p))
-    return (1 - 1 / p**2) * (1 - mp.mpf(sign) / p**m)
+    t = (k // 2) % 2
+    num = {2: (-1, 0)}
+    for e, sign in ((m, -1), (m + 1, 1)):  # at k = 2, m = 2 shares x^2
+        a, b = num.get(e, (0, 0))
+        num[e] = (a + sign * (1 - t), b + sign * t)
+    return _Family(
+        scale=Fraction(3, 4),
+        num=tuple((e, a, b) for e, (a, b) in sorted(num.items())),
+        den=((2, 0), (m, t)),
+        decay=m + 1,
+    )
 
 
-def _assemble(prefactor, residual_at, decay: int, tol: float, prime_bound: int | None):
-    """Truncated residual product with a certified two-sided tail bound.
+# The residue-class product forms of the two corollaries. k = 2 splits
+# over p mod 4: (1 - 2x^2 + x^3)/(1 - x^2)^2 at p = 1 and
+# (1 - x^3)/(1 - x^4) at p = 3, one formula with s = chi_4(p); k = 4 is
+# (1 - x^2 - x^3 + x^4)/((1 - x^2)(1 - x^3)) at every p.
+_COROLLARY_FAMILIES = {
+    2: _Family(Fraction(1, 4), ((2, -1, -1), (3, 0, 1)), ((2, 0), (2, 1)), 3),
+    4: _Family(Fraction(3, 20), ((2, -1, 0), (3, -1, 0), (4, 1, 0)), ((2, 0), (3, 0)), 4),
+}
 
-    Without ``prime_bound`` the bound doubles from 64 until the tail is
-    below ``tol``; with it, the product stops there whatever the tail. A
-    bound above _MAX_PRIME_BOUND is refused before its sieve is built.
+
+@lru_cache(maxsize=256)
+def _log_coefficients(family: _Family, order: int) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Exact (alpha_j, beta_j) for j <= order with log h_p = sum (alpha_j + beta_j s) x^j.
+
+    Each sign of s gets its own series: log num by the recurrence
+    j g_j = j f_j - sum_e (j - e) g_(j-e) f_e (from f g' = f'), plus
+    -log(1 - y x^e) = sum_r y^r x^(er) / r for every den factor.
     """
-    if prime_bound is None:
-        tol, p_bound = mp.mpf(tol), 64
-    else:
-        tol, p_bound = mp.inf, prime_bound
-    while _residual_tail(p_bound, decay) * 4 > tol:
-        p_bound *= 2
-    while True:
-        if p_bound > _MAX_PRIME_BOUND:
-            raise BudgetExceededError(p_bound, _MAX_PRIME_BOUND, "Euler-product prime bound")
-        log_acc = mp.mpf(0)
-        for p in primes_upto(p_bound):
-            if p == 2:
-                continue
-            log_acc += mp.log(residual_at(mp.mpf(p)))
-        value = prefactor * mp.exp(log_acc)
-        tail = 2 * value * mp.expm1(_residual_tail(p_bound, decay))
-        if tail <= tol:
-            return value, p_bound, tail
-        p_bound *= 2
+    series = []
+    for s in (1, -1):
+        f = {e: a + b * s for e, a, b in family.num if a + b * s and e <= order}
+        g = [Fraction(0)] * (order + 1)
+        for j in range(1, order + 1):
+            g[j] = f.get(j, 0) - Fraction(sum((j - e) * g[j - e] * c for e, c in f.items() if e < j), j)
+        for e, t in family.den:
+            y = s**t
+            for r in range(1, order // e + 1):
+                g[e * r] += Fraction(y**r, r)
+        series.append(g)
+    plus, minus = series
+    if any(plus[: family.decay]) or any(minus[: family.decay]):
+        raise ArithmeticError("residual factor is not 1 + O(x^decay)")
+    return tuple(((a + b) / 2, (a - b) / 2) for a, b in zip(plus, minus))
+
+
+def _mobius(m: int) -> int:
+    result = 1
+    for _, e in factorize(m).factors:
+        if e > 1:
+            return 0
+        result = -result
+    return result
+
+
+@lru_cache(maxsize=256)
+def _tail_weights(family: _Family, order: int) -> tuple[tuple[tuple[int, Fraction, Fraction], ...], int]:
+    """The tail sum regrouped by exponent, and a ceiling on its total weight.
+
+    sum_{p > P} p^-j = sum_m mu(m)/m log zeta_{>P}(mj), and the chi_4-twisted
+    sum takes log L_{>P}(mj, chi^m), where chi^m is principal for even m
+    (then L_{>P} = zeta_{>P}, as 2 <= P). Keeping the pairs with mj <= order
+    and collecting them by sigma = mj gives
+    sum_sigma wz log zeta_{>P}(sigma) + wx log L_{>P}(sigma, chi_4),
+    so every zeta and L value is evaluated once.
+    """
+    coefficients = _log_coefficients(family, order) if order >= family.decay else ()
+    wz: defaultdict[int, Fraction] = defaultdict(Fraction)
+    wx: defaultdict[int, Fraction] = defaultdict(Fraction)
+    for j in range(family.decay, order + 1):
+        alpha, beta = coefficients[j]
+        for m in range(1, order // j + 1):
+            c = Fraction(_mobius(m), m)
+            if m % 2:
+                wz[m * j] += c * alpha
+                wx[m * j] += c * beta
+            else:  # chi^m is principal: the twisted sum reads zeta too
+                wz[m * j] += c * (alpha + beta)
+    rows = tuple((s, wz[s], wx[s]) for s in sorted(set(wz) | set(wx)))
+    total = sum(abs(w) for _, a, b in rows for w in (a, b))
+    return rows, math.ceil(total)
+
+
+def _log10_neglected(family: _Family, p_bound: int, order: int) -> float:
+    """log10 of the certified bound on the neglected part of the tail sum.
+
+    |alpha_j| + |beta_j| <= deg B^j / j, with B the root bound, and
+    sum_{p > P} p^-j <= P^(1-j)/(j-1), so the j-series beyond ``order`` J
+    is at most 2 deg B (B/P)^J / (J(J+1)) when B/P <= 1/2. The Mobius sums
+    cut at mj <= J leave |log zeta_{>P}(sigma)| terms with sigma > J, at
+    most 1.1 P^-J / J per j, or 2.2 deg (B/P)^J / J over all j <= J.
+    """
+    deg, root = family.degree, family.root_bound
+    return (
+        math.log10(deg)
+        + order * math.log10(root / p_bound)
+        - math.log10(order)
+        + math.log10(2.2 + 2 * root / (order + 1))
+    )
+
+
+@lru_cache(maxsize=16)
+def _cvz_weights(bits: int) -> tuple[int, tuple[int, ...]]:
+    """Integer weights w_k and divisor d with d >= 2^bits for alternating sums.
+
+    Cohen, Rodriguez Villegas and Zagier: for a_k = int_0^1 x^k dmu with
+    mu >= 0, sum_k (-1)^k a_k = sum_{k<n} w_k a_k / d within a_0 / d, where
+    d = T_n(3) = ((3 + sqrt 8)^n + (3 - sqrt 8)^n)/2 is an integer.
+    """
+    n, d, previous = 1, 3, 1
+    while d < 1 << bits:
+        n, d, previous = n + 1, 6 * d - previous, d
+    b, c = -1, -d
+    weights = []
+    for k in range(n):
+        c = b - c
+        weights.append(c)
+        b = b * 2 * (k + n) * (k - n) // ((2 * k + 1) * (k + 1))
+    return d, tuple(weights)
+
+
+def _beta_fixed(sigma: int, bits: int) -> int:
+    """L(sigma, chi_4) * 2^bits within 3 units, sigma >= 1.
+
+    The alternating series sum_k (-1)^k (2k+1)^-sigma with CVZ weights;
+    (2k+1)^-sigma is the k-th moment of a positive measure on [0, 1].
+    """
+    if sigma > bits:  # 3^-sigma is below one unit
+        return 1 << bits
+    d, weights = _cvz_weights(bits)
+    return sum((w << bits) // (2 * k + 1) ** sigma for k, w in enumerate(weights)) // d
+
+
+def _working_dps(tol: float) -> int:
+    """Digits for a result within tol: its own digits plus ten, at least _WORK_DPS."""
+    if not tol > 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    dps = max(_WORK_DPS, math.ceil(-math.log10(min(tol, 1.0))) + 10)
+    if dps > _MAX_WORK_DPS:
+        raise BudgetExceededError(dps, _MAX_WORK_DPS, "Euler-product working precision in digits")
+    return dps
+
+
+def _assemble(k: int, family: _Family, tol: float, prime_bound: int | None) -> EulerConstant:
+    """Cohen's evaluation: an explicit product over p <= P and a prime-zeta tail.
+
+    log C = log scale + log prod_{p>2} den(1/p) + sum_{2<p<=P} log h_p
+            + sum_j (alpha_j sum_{p>P} p^-j + beta_j sum_{p>P} chi_4(p) p^-j),
+    with the den product in closed form and the prime sums as Mobius sums of
+    log zeta_{>P} and log L_{>P} (see _tail_weights). The order J is the
+    first at which the neglected part of the series is below tol/2.
+    Fixed-point integers with guard bits carry the explicit product, the
+    partial Euler factors of zeta and L, and L(s, chi_4) itself, so the
+    reported bound adds only an allowance of ten units in the last working
+    digit for rounding.
+    """
+    dps = _working_dps(tol)
+    p_bound = _DEFAULT_PRIME_BOUND if prime_bound is None else prime_bound
+    _check_sieve_limit(p_bound, "Euler-product prime")
+    if p_bound < 2 * family.root_bound:
+        raise ValueError(f"prime bound must be >= {2 * family.root_bound}, got {p_bound}")
+    order = family.decay - 1
+    while _log10_neglected(family, p_bound, order) > math.log10(tol / 2):
+        order += 1
+    rows, weight = _tail_weights(family, order)
+    primes = primes_upto(p_bound)
+    with mp.workdps(dps):
+        # guard bits: a few units of rounding per prime, in the explicit
+        # product and in each partial Euler factor, the latter amplified by
+        # the tail weights
+        terms = len(family.num) + len(family.den) + 2
+        guard = ((len(primes) + 4) * (4 * terms + weight)).bit_length() + 4
+        bits = mp.mp.prec + guard
+        one = 1 << bits
+        explicit = one
+        for p in primes[1:]:
+            s = 1 if p % 4 == 1 else -1
+            # x^e with e > bits is below one unit, and p^e too large to build
+            num = one + sum((a + b * s) * (one // p**e) for e, a, b in family.num if e <= bits)
+            den = one
+            for e, t in family.den:
+                if e <= bits:
+                    den -= s**t * (den // p**e)
+            explicit = explicit * num // den
+        with mp.workprec(bits):
+            log_c = mp.log(mp.ldexp(explicit, -bits))
+            prefactor = mp.mpf(family.scale.numerator) / family.scale.denominator
+            for e, t in family.den:
+                # prod_{p>2} (1 - s^t p^-e) is 1/L(e, chi_4), or 1/((1 - 2^-e) zeta(e))
+                closed = mp.ldexp(_beta_fixed(e, bits), -bits) if t else mp.zeta(e) * -mp.expm1(-e * mp.ln2)
+                prefactor /= closed
+            for sigma, wz, wx in rows:
+                if wz:
+                    z = int(mp.ldexp(mp.zeta(sigma), bits))
+                    for p in primes:
+                        z -= z // p**sigma
+                    log_c += mp.mpf(wz.numerator) / wz.denominator * mp.log(mp.ldexp(z, -bits))
+                if wx:
+                    z = _beta_fixed(sigma, bits)
+                    for p in primes[1:]:
+                        z -= (1 if p % 4 == 1 else -1) * (z // p**sigma)
+                    log_c += mp.mpf(wx.numerator) / wx.denominator * mp.log(mp.ldexp(z, -bits))
+            value = prefactor * mp.exp(log_c)
+        neglected = mp.mpf(10) ** _log10_neglected(family, p_bound, order)
+        tail = value * (mp.expm1(neglected) + mp.mpf(10) ** (1 - dps))
+        return EulerConstant(k=k, value=+value, prime_bound=p_bound, tail_bound=+tail)
 
 
 def euler_constant(k: int, tol: float = 1e-9, prime_bound: int | None = None) -> EulerConstant:
-    """The average-order constant C_k with a certified truncation bound.
+    """The average-order constant C_k, within ``tail_bound`` <= ``tol`` of it.
 
-    Odd k needs no product: the constant is 6/pi^2 exactly. Even k runs the
-    rearranged truncated product until the certified tail drops below
-    ``tol``; pass ``prime_bound`` to pin the truncation point instead (the
-    reported tail stays certified either way).
+    Odd k needs no product: the constant is 6/pi^2 exactly. Even k is
+    Cohen's evaluation of the Euler product (see _assemble), with primes up
+    to 64 multiplied explicitly; ``prime_bound`` moves that cut and ``tol``
+    still sets the rest.
     """
     if k < 1:
         raise ValueError(f"tuple length must be >= 1, got {k}")
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    with mp.workdps(_WORK_DPS):
-        if k % 2 == 1:
+    if k % 2 == 1:
+        with mp.workdps(_working_dps(tol)):
             return EulerConstant(k=k, value=6 / mp.pi**2, prime_bound=0, tail_bound=mp.mpf(0))
-        m = k // 2 + 1
-        prefactor = mp.mpf(3) / 4 * _odd_prime_zeta_product(2)
-        if (k // 2) % 2:  # k = 2 mod 4: the pulled-out factor carries chi_4
-            prefactor /= _dirichlet_beta(m)
-        else:
-            prefactor *= _odd_prime_zeta_product(m)
-
-        def residual(p):
-            return _product_factor(k, p) / _pulled_out_base(k, p)
-
-        value, p_used, tail = _assemble(prefactor, residual, m + 1, tol, prime_bound)
-        return EulerConstant(k=k, value=value, prime_bound=p_used, tail_bound=tail)
+    return _assemble(k, _euler_family(k), tol, prime_bound)
 
 
 def corollary_constant(k: int, tol: float = 1e-9, prime_bound: int | None = None) -> EulerConstant:
     """Leading coefficient of x^(k+1) in the k = 2 and k = 4 partial sums.
 
-    Computed from the residue-class product forms (split over p mod 4 for
-    k = 2), so it is an independent evaluation route; it must agree with
-    euler_constant(k)/(k+1) within the two tail bounds.
+    Its residual coefficients are written out from the residue-class
+    product forms (split over p mod 4 for k = 2) instead of generated as
+    in euler_constant, so it cross-checks that construction; it must agree
+    with euler_constant(k)/(k+1) within the two tail bounds.
     """
-    if k not in (2, 4):
+    if k not in _COROLLARY_FAMILIES:
         raise ValueError(f"corollary form exists for k in (2, 4), got {k}")
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    with mp.workdps(_WORK_DPS):
-        if k == 2:
-            prefactor = mp.mpf(1) / 4 * _odd_prime_zeta_product(2) / _dirichlet_beta(2)
-
-            def residual(p):
-                if int(p) % 4 == 1:
-                    return (1 - 2 / p**2 + 1 / p**3) / (1 - 1 / p**2) ** 2
-                return (1 - 1 / p**3) / (1 - 1 / p**4)
-
-            decay = 3
-        else:
-            prefactor = (
-                mp.mpf(3) / 20 * _odd_prime_zeta_product(2) * _odd_prime_zeta_product(3)
-            )
-
-            def residual(p):
-                # the base expands to 1 - 1/p^2 - 1/p^3 + 1/p^5, so the
-                # residual deviation is (1/p^4 - 1/p^5)/base
-                return (1 - 1 / p**2 - 1 / p**3 + 1 / p**4) / (
-                    (1 - 1 / p**2) * (1 - 1 / p**3)
-                )
-
-            decay = 4
-        value, p_used, tail = _assemble(prefactor, residual, decay, tol, prime_bound)
-        return EulerConstant(k=k, value=value, prime_bound=p_used, tail_bound=tail)
+    return _assemble(k, _COROLLARY_FAMILIES[k], tol, prime_bound)
 
 
 def g_k_table(k: int, limit: int, table: SpfTable | None = None) -> GkCoefficient:

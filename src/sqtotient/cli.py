@@ -152,7 +152,7 @@ def verify_command(suite, limit, max_enum, fmt, out, no_meta):
 )
 @click.option("-k", "--k", "k", type=int, default=None, help="Tuple length (defaults per report kind).")
 @click.option("--xs", default=None, help="Comma-separated ascending range ends, e.g. 1000,10000.")
-@click.option("--tol", type=float, default=1e-9, show_default=True, help="Certified tail target for constants.")
+@click.option("--tol", type=float, default=1e-9, show_default=True, help="Certified error bound for constants.")
 @click.option("--primes", "prime_count", type=click.IntRange(3, 10000), default=9, show_default=True, help="Primorial length for minimal-order.")
 @click.option("--experimental", is_flag=True, help="Allow even k in the minimal-order scan (data only).")
 @click.option("--nmax", type=click.IntRange(1, INT64_MAX), default=40, show_default=True, help="Largest modulus for the menon table.")
@@ -189,7 +189,7 @@ def report_command(kind, k, xs, tol, prime_count, experimental, nmax, bound, fmt
 
     if kind == "constants":
         k = _int64(k if k is not None else 2, "-k")
-        if tol <= 0:
+        if not tol > 0:  # also refuses nan
             raise click.UsageError("--tol must be positive")
         constant = averaging.euler_constant(k, tol)
         records = [

@@ -13,11 +13,12 @@ subcommand and the acceptance tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
 from math import gcd
 
 from .averaging import convolution_check, phi_k_table
-from .core_arith import BudgetExceededError, factorize
+from .core_arith import BudgetExceededError, build_spf, factorize
 from .menon import menon_classic
 from .phi import phi_k, phi_k_brute, phi_k_via_rho, phi_ratio_check, phi_k_via_jordan
 from .rho import (
@@ -108,20 +109,25 @@ def _census_totals(n_max: int):
             yield f"n={n} k={k}" if sum(rho_base_vector(k, n).counts) != n**k else None
 
 
-def _formula_vs_census(moduli, guard: int):
+def _unit_counts(k: int, n: int) -> dict[int, int]:
+    """{lam: rho(k, lam, n)} over the units lam mod n."""
+    return {lam: rho(k, lam, n) for lam in range(n) if gcd(lam, n) == 1}
+
+
+def _formula_vs_census(moduli, guard: int, formulas):
     for case in _guarded(moduli, 6, guard):
         if case is _SKIPPED:
             yield case
             continue
         n, k = case
         census = sum_of_squares_census(k, n, guard)
-        for lam in range(n):
-            if gcd(lam, n) == 1 and (formula := rho(k, lam, n)) != int(census[lam]):
+        for lam, formula in formulas(k, n).items():
+            if formula != int(census[lam]):
                 yield f"k={k} lam={lam} n={n}: formula {formula} != census {int(census[lam])}"
         yield None
 
 
-def _multiplicativity(bound: int, guard: int):
+def _multiplicativity(bound: int, guard: int, formulas):
     # rho(k, lam, mn) = rho(k, lam mod m, m) rho(k, lam mod n, n) for coprime m, n
     for m in range(2, bound + 1):
         for n in range(m + 1, bound + 1):
@@ -133,8 +139,9 @@ def _multiplicativity(bound: int, guard: int):
                     continue
                 mn, k = case
                 census = sum_of_squares_census(k, mn, guard)
+                at_m, at_n = formulas(k, m), formulas(k, n)
                 for lam in range(mn):
-                    if gcd(lam, mn) == 1 and rho(k, lam % m, m) * rho(k, lam % n, n) != int(census[lam]):
+                    if gcd(lam, mn) == 1 and at_m[lam % m] * at_n[lam % n] != int(census[lam]):
                         yield f"k={k} lam={lam} m={m} n={n}"
                 yield None
 
@@ -160,6 +167,8 @@ def _rho(limit: int, guard: int) -> list[Check]:
     prime_powers = [q for q in range(3, odd_bound + 1, 2) if len(factorize(q).factors) == 1]
     prime_powers += [1 << j for j in range(1, two_bound.bit_length())]
     n_max, general, pairs = min(limit, 64), min(limit, 100), min(limit, 24)
+    # the three formula checks read one table of unit counts per (k, n)
+    formulas = lru_cache(maxsize=None)(_unit_counts)
     return [
         _run(
             "closed forms at moduli 2, 4, 8",
@@ -170,17 +179,17 @@ def _rho(limit: int, guard: int) -> list[Check]:
         _run(
             "prime-power formula vs enumeration",
             f"odd prime powers <= {odd_bound}, powers of two <= {two_bound}, k <= 6",
-            _formula_vs_census(sorted(prime_powers), guard),
+            _formula_vs_census(sorted(prime_powers), guard, formulas),
         ),
         _run(
             "general-modulus formula vs enumeration",
             f"n <= {general}, unit residues, k <= 6",
-            _formula_vs_census(range(1, general + 1), min(guard, 10**6)),
+            _formula_vs_census(range(1, general + 1), min(guard, 10**6), formulas),
         ),
         _run(
             "residue-count multiplicativity",
             f"coprime pairs <= {pairs}, k <= 5",
-            _multiplicativity(pairs, min(guard, 10**6)),
+            _multiplicativity(pairs, min(guard, 10**6), formulas),
         ),
         _run(
             "prime-power lifting steps",
@@ -278,8 +287,8 @@ def _identities(limit: int, guard: int) -> list[Check]:
     ]
 
 
-def _convolution_identity(k: int, limit: int):
-    report = convolution_check(k, limit)
+def _convolution_identity(k: int, limit: int, table):
+    report = convolution_check(k, limit, table)
     if not report.ok:
         n, expected, got = report.first_mismatch
         yield f"n={n}: expected {expected}, convolution {got}"
@@ -287,8 +296,9 @@ def _convolution_identity(k: int, limit: int):
 
 
 def _convolution(limit: int, guard: int) -> list[Check]:
+    table = build_spf(limit) if limit >= 2 else None  # one sieve for both k
     return [
-        _run(f"convolution identity k={k}", f"n <= {limit}", _convolution_identity(k, limit))
+        _run(f"convolution identity k={k}", f"n <= {limit}", _convolution_identity(k, limit, table))
         for k in (2, 4)
     ]
 

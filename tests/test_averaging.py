@@ -20,7 +20,12 @@ from sqtotient import (
     phi_k,
     phi_k_table,
 )
-from sqtotient.averaging import _CHUNK
+from sqtotient.averaging import (
+    _CHUNK,
+    _beta_fixed,
+    _euler_family,
+    _log_coefficients,
+)
 
 
 class TestPhiTable:
@@ -122,15 +127,17 @@ class TestEulerConstant:
         with pytest.raises(ValueError):
             euler_constant(2, -1e-9)
 
-    def test_prime_bound_guard(self):
-        # tol 1e-18 would sieve to about 2^31; refused before the sieve
-        with pytest.raises(BudgetExceededError) as info:
-            euler_constant(2, 1e-18)
-        assert info.value.required > 2**30
-        with pytest.raises(BudgetExceededError):
-            corollary_constant(4, 1e-30)
-        with pytest.raises(BudgetExceededError):
+    def test_working_precision_guard(self):
+        # tol 1e-200 needs 210 working digits, over the cap of 128
+        for constant in (euler_constant, corollary_constant):
+            with pytest.raises(BudgetExceededError, match="working precision") as info:
+                constant(2, 1e-200)
+            assert info.value.required == 210
+        # a pinned prime bound still meets the sieve guard before any sieve
+        with pytest.raises(BudgetExceededError, match="sieve limit"):
             euler_constant(4, prime_bound=2**40)
+        with pytest.raises(ValueError):
+            euler_constant(2, prime_bound=5)  # below twice the root bound 3
 
     def test_monotone_refinement(self):
         for k in (2, 4, 6):
@@ -154,6 +161,63 @@ class TestEulerConstant:
                     acc += mp.log(1 - 1 / pm**2 - sign * (pm - 1) / pm ** (k // 2 + 2))
                 plain = mp.mpf(3) / 4 * mp.exp(acc)
             assert abs(euler_constant(k, 1e-9).value - plain) < 4e-7
+
+    def test_default_agrees_with_the_explicit_product_to_2_17(self):
+        # at P = 2^17 about 12,000 primes are multiplied explicitly and the
+        # tail series adds little; at the default P = 64 the series carries it
+        cases = [(euler_constant, k) for k in (2, 4, 6, 10)]
+        cases += [(corollary_constant, k) for k in (2, 4)]
+        with mp.workdps(40):
+            for constant, k in cases:
+                default = constant(k, 1e-9)
+                explicit = constant(k, 1e-9, prime_bound=2**17)
+                assert (default.prime_bound, explicit.prime_bound) == (64, 2**17)
+                gap = abs(default.value - explicit.value)
+                assert gap <= default.tail_bound + explicit.tail_bound, (constant.__name__, k)
+
+    def test_tighter_tolerances_refine_within_the_coarse_bound(self):
+        with mp.workdps(40):
+            for k in (2, 4, 6):
+                coarse = euler_constant(k, 1e-9)
+                for tol in (1e-15, 1e-18, 1e-30):
+                    fine = euler_constant(k, tol)
+                    assert fine.tail_bound <= tol
+                    assert abs(fine.value - coarse.value) <= coarse.tail_bound, (k, tol)
+            for k in (2, 4):
+                coarse = corollary_constant(k, 1e-9)
+                fine = corollary_constant(k, 1e-30)
+                assert abs(fine.value - coarse.value) <= coarse.tail_bound
+
+    def test_tail_bound_stays_near_tol(self):
+        # the series stops at the first order that meets tol, so the bound is
+        # not driven down to rounding level, where float comparisons fail
+        for tol in (3e-10, 1e-9, 1e-15, 1e-30):
+            for constant in (euler_constant(2, tol), euler_constant(4, tol), euler_constant(6, tol),
+                             corollary_constant(2, tol), corollary_constant(4, tol)):
+                assert tol / 1000 < constant.tail_bound <= tol, (constant.k, tol)
+
+    def test_cvz_dirichlet_beta(self):
+        # L(s, chi_4) * 2^bits within 3 units: Catalan's constant at s = 2
+        bits = 200
+        with mp.workprec(bits + 10):
+            for s, exact in ((2, mp.catalan), (3, mp.pi**3 / 32), (1, mp.pi / 4)):
+                assert abs(_beta_fixed(s, bits) - mp.ldexp(exact, bits)) <= 3, s
+
+    def test_log_series_matches_taylor(self):
+        # log h_p = sum (alpha_j + beta_j s) x^j for the k = 2 residual factor
+        coefficients = _log_coefficients(_euler_family(2), 12)
+        with mp.workdps(40):
+            for s in (1, -1):
+
+                def log_h(x, s=s):
+                    num = 1 - x**2 - s * (x**2 - x**3)
+                    return mp.log(num / ((1 - x**2) * (1 - s * x**2)))
+
+                taylor = mp.taylor(log_h, 0, 12)
+                for j, (alpha, beta) in enumerate(coefficients):
+                    exact = alpha + beta * s
+                    assert abs(taylor[j] - mp.mpf(exact.numerator) / exact.denominator) < mp.mpf("1e-25"), (s, j)
+        assert coefficients[3] == (0, 1) and coefficients[4][1] == -1
 
     def test_two_product_forms_agree(self):
         for k in (2, 4):

@@ -197,10 +197,23 @@ class TestReportCommand:
         assert "corollary_product" in result.output
         assert "0.64980275" in result.output
 
-    def test_constants_prime_bound_guard(self, runner):
-        result = run(runner, "report", "constants", "-k", "2", "--tol", "1e-18")
+    def test_constants_working_precision_guard(self, runner):
+        result = run(runner, "report", "constants", "-k", "2", "--tol", "1e-200")
         assert result.exit_code == 3
-        assert "Euler-product prime bound" in result.output
+        assert "working precision" in result.output
+        assert run(runner, "report", "constants", "-k", "2", "--tol", "nan").exit_code == 2
+
+    def test_constants_tight_tolerance(self, runner):
+        def rows(tol):
+            result = run(runner, "report", "constants", "-k", "2", "--tol", tol, "--format", "json", "--no-meta")
+            assert result.exit_code == 0
+            return {r["form"]: r for r in json.loads(result.output)["rows"]}
+
+        coarse = rows("1e-9")
+        for tol in ("1e-15", "1e-18"):
+            for form, row in rows(tol).items():
+                assert row["tail_bound"] <= float(tol)
+                assert abs(row["value"] - coarse[form]["value"]) <= coarse[form]["tail_bound"]
 
     def test_minimal_order_even_k_guarded(self, runner):
         assert run(runner, "report", "minimal-order", "-k", "2").exit_code == 2
