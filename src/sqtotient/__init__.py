@@ -9,10 +9,7 @@ plus high-precision asymptotic constants carrying certified error bounds.
 """
 
 from .averaging import (
-    AveragingRow,
     ConvolutionReport,
-    EulerConstant,
-    GkCoefficient,
     averaging_report,
     convolution_check,
     corollary_constant,
@@ -24,7 +21,6 @@ from .averaging import (
 )
 from .core_arith import (
     Factorization,
-    SpfTable,
     build_spf,
     divisor_count,
     euler_phi,
@@ -33,8 +29,6 @@ from .core_arith import (
     jordan_totient,
 )
 from .menon import (
-    MenonRow,
-    PsiScanRow,
     menon_classic,
     menon_lhs,
     menon_lhs_brute,
@@ -52,16 +46,12 @@ from .phi import (
 from .rho import (
     DEFAULT_GUARD,
     BudgetExceededError,
-    LebesgueTerms,
-    ResidueVector,
     closed_form_rho2,
     closed_form_rho4,
     rho,
     rho_base_vector,
     rho_brute,
     rho_odd_prime,
-    rho_odd_prime_power,
-    rho_pow2,
     sum_of_squares_census,
     trig_closed_form_rho8,
 )
@@ -70,20 +60,12 @@ from .verify import SUITES, Check, SuiteResult, run_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "AveragingRow",
     "BudgetExceededError",
     "Check",
     "ConvolutionReport",
     "DEFAULT_GUARD",
-    "EulerConstant",
     "Factorization",
-    "GkCoefficient",
-    "LebesgueTerms",
-    "MenonRow",
-    "PsiScanRow",
-    "ResidueVector",
     "SUITES",
-    "SpfTable",
     "SuiteResult",
     "averaging_report",
     "build_spf",
@@ -116,8 +98,6 @@ __all__ = [
     "rho_base_vector",
     "rho_brute",
     "rho_odd_prime",
-    "rho_odd_prime_power",
-    "rho_pow2",
     "run_suite",
     "sum_of_squares_census",
     "trig_closed_form_rho8",

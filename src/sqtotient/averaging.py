@@ -49,8 +49,8 @@ from .core_arith import (
     factorize,
     primes_upto,
 )
-from .phi import even_k_sign, phi_k_prime_power
-from .rho import _check_output_bits
+from .phi import phi_k_prime_power
+from .rho import _check_output_bits, even_k_sign
 
 __all__ = [
     "EulerConstant",

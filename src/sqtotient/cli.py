@@ -111,16 +111,15 @@ def phi_command(k, n, range_end, fmt, out, no_meta):
 @click.option("-k", "--k", "k", type=int, required=True, help="Tuple length.")
 @click.option("-l", "--lam", "lam", type=int, required=True, help="Target residue class.")
 @click.option("-n", "--n", "n", type=int, required=True, help="Modulus.")
-@click.option("--max-enum", type=click.IntRange(1, INT64_MAX), default=DEFAULT_GUARD, show_default=True, help="Tuple budget for the enumeration fallback.")
 @output_options
 @guard_errors
-def rho_command(k, lam, n, max_enum, fmt, out, no_meta):
+def rho_command(k, lam, n, fmt, out, no_meta):
     """Count tuples whose square sum hits one residue class."""
     k = _int64(k, "-k")
     n = _int64(n, "-n")
     lam = _int64(lam, "-l", minimum=0)
-    path = "formula" if (n == 1 or gcd(lam, n) == 1) else "oracle"
-    value = rho(k, lam, n, guard=max_enum)
+    path = "formula" if gcd(lam, n) == 1 else "descent"
+    value = rho(k, lam, n)
     if fmt == "plain":
         _emit(f"{value} ({path})\n", out)
         return

@@ -24,7 +24,7 @@ from math import gcd
 
 from .core_arith import Factorization, as_factorization, divisor_count, euler_phi, factorize
 from .phi import phi_k
-from .rho import DEFAULT_GUARD, _check_output_bits, _unit_count, sum_of_squares_census
+from .rho import DEFAULT_GUARD, _check_output_bits, _local_count, sum_of_squares_census
 
 __all__ = [
     "MenonRow",
@@ -92,7 +92,7 @@ def _menon_lhs(k: int, f: Factorization) -> int:
     for p, e in f.factors:
         q = p**e
         result *= sum(
-            _unit_count(k, lam, p, e) * gcd(lam - 1, q) for lam in range(1, q) if lam % p
+            _local_count(k, lam, p, e) * gcd(lam - 1, q) for lam in range(1, q) if lam % p
         )
     return result
 

@@ -22,7 +22,7 @@ from math import gcd, prod
 import numpy as np
 
 from .core_arith import Factorization, as_factorization, euler_phi, jordan_totient
-from .rho import DEFAULT_GUARD, _check_output_bits, _unit_count, sum_of_squares_census
+from .rho import DEFAULT_GUARD, _check_output_bits, _local_count, even_k_sign, sum_of_squares_census
 
 __all__ = [
     "phi_k_brute",
@@ -31,15 +31,7 @@ __all__ = [
     "phi_k",
     "phi_k_via_jordan",
     "phi_ratio_check",
-    "even_k_sign",
 ]
-
-
-def even_k_sign(k: int, p: int) -> int:
-    """(-1)^(k(p-1)/4) for even k and odd p, as an exact +/-1."""
-    if k % 2 or p % 2 == 0:
-        raise ValueError("sign is defined for even k and odd p only")
-    return -1 if ((k // 2) * ((p - 1) // 2)) % 2 else 1
 
 
 def phi_k_brute(k: int, n: int, guard: int = DEFAULT_GUARD) -> int:
@@ -63,7 +55,7 @@ def phi_k_via_rho(k: int, n: int) -> int:
     _check_output_bits(k, factors, "phi_k_via_rho")
     # lam = 0 is the unit class when n = 1, where the empty product is 1
     return sum(
-        prod(_unit_count(k, lam, p, e) for p, e in factors)
+        prod(_local_count(k, lam, p, e) for p, e in factors)
         for lam in range(n)
         if gcd(lam, n) == 1
     )

@@ -1,16 +1,23 @@
 """Counting k-tuples with a prescribed square sum modulo n.
 
 rho(k, lam, n) is the number of (x_1, ..., x_k) in (Z/nZ)^k with
-x_1^2 + ... + x_k^2 = lam (mod n). For lam coprime to n the value is
-multiplicative in n and reduces to prime powers:
+x_1^2 + ... + x_k^2 = lam (mod n). By the Chinese remainder theorem it is
+the product of its values at the prime powers p^e of n, for every lam, and
+one local count serves every residue class:
 
-  * odd p:  rho(k, lam, p^s) = p^((s-1)(k-1)) * rho(k, lam, p), and the
-    prime case is p^(k-1) +/- a signed power of p picked by the parity of
-    k and whether lam is a quadratic residue (Euler criterion).
-  * p = 2:  the reduction bottoms out at modulus 8 instead of 2, so the
-    moduli 2, 4, 8 are read from the residue vector: the census of squares
-    mod n raised to the k-th power under cyclic convolution, by repeated
-    squaring in exact integers.
+  * a solution in which some coordinate is a unit mod p is nonsingular, so
+    it lifts from the base modulus (p when p is odd, 8 when p = 2) to
+    p^(k-1) solutions per extra power of p;
+  * a solution in which every coordinate is divisible by p is p times a
+    solution for lam / p^2 two powers down, so it exists only when
+    p^2 | lam (descent).
+
+At an odd prime the count is p^(k-1) plus a signed power of p picked by the
+parity of k and the quadratic character of lam (Euler criterion), lam = 0
+included. The moduli 2, 4, 8 are read from the residue vector: the census
+of squares mod n raised to the k-th power under cyclic convolution, by
+repeated squaring in exact integers. For lam a unit mod n no descent step
+is taken, and the count is the paper's closed form.
 
 The classical trigonometric closed forms for moduli 2, 4, 8 are also
 implemented, in exact Z[sqrt(2)] arithmetic (every sine and cosine that
@@ -18,10 +25,9 @@ appears is 0, +/-1 or +/-sqrt(2)/2, and the irrational parts cancel); they
 serve as a cross-check against the residue vector, never as the primary
 path.
 
-For gcd(lam, n) > 1 no formula is attempted: the public entry point falls
-back to the guarded residue census, an exact product-rule count of all n^k
-tuples (cyclic-convolution powering of the square census mod n) that the
-tier-1 tests check against literal enumeration.
+The residue census over all n^k tuples (``sum_of_squares_census``,
+``rho_brute``) stays as the guarded oracle that the tier-1 tests check
+against literal enumeration; ``rho`` never reads it.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 import numpy as np
 
@@ -39,14 +44,12 @@ __all__ = [
     "DEFAULT_GUARD",
     "BudgetExceededError",
     "ResidueVector",
-    "LebesgueTerms",
     "sum_of_squares_census",
     "rho_brute",
     "rho_odd_prime",
-    "rho_odd_prime_power",
     "rho_base_vector",
-    "rho_pow2",
     "rho",
+    "even_k_sign",
     "closed_form_rho2",
     "closed_form_rho4",
     "trig_closed_form_rho8",
@@ -56,8 +59,13 @@ __all__ = [
 DEFAULT_GUARD = 10**8
 
 # Largest modulus the census kernel takes: it holds a few arrays of one
-# entry per residue (8 MB each in int64 at this cap) and costs O(n^2 log k).
+# entry per residue (8 MB each in int64 at this cap).
 _CENSUS_MODULUS_CAP = 1 << 20
+
+# Largest n^2 x (number of cyclic convolutions) the census kernel runs:
+# about 4 s of CPU (0.9 s was measured at n = 2^15, k = 2, which is 2^30).
+# Every census under the default tuple guard stays below it.
+_CENSUS_WORK_CAP = 1 << 32
 
 # Largest count, in bits, that a closed form may build. -k reaches 2^63 - 1
 # on the CLI and a count near n^k has about k log2 n bits; at this cap it
@@ -120,6 +128,10 @@ def _power_census(k: int, n: int) -> np.ndarray:
     """The square census mod n raised to the k-th power, unguarded in k."""
     if n > _CENSUS_MODULUS_CAP:
         raise BudgetExceededError(n, _CENSUS_MODULUS_CAP, f"census at modulus {n}")
+    # one O(n^2) convolution per squaring and per further set bit of k
+    work = n * n * (k.bit_length() + bin(k).count("1") - 2)
+    if work > _CENSUS_WORK_CAP:
+        raise BudgetExceededError(work, _CENSUS_WORK_CAP, f"census work at modulus {n}, k = {k}")
     # every intermediate entry counts tuples, so it is at most n^k
     dtype = np.int64 if n**k < 2**63 else object
     squares = (np.arange(n, dtype=np.int64) ** 2) % n
@@ -146,46 +158,28 @@ def _cyclic_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def rho_brute(k: int, lam: int, n: int, guard: int = DEFAULT_GUARD) -> int:
     """Exact count of tuples with square sum lam mod n, from the census.
 
-    Works for every lam, including gcd(lam, n) > 1; refused when n^k is
-    over the guard.
+    Works for every lam; refused when n^k is over the guard.
     """
     census = sum_of_squares_census(k, n, guard)
     return int(census[lam % n])
 
 
-@dataclass(frozen=True)
-class LebesgueTerms:
-    """Signed correction terms for the odd-prime count.
-
-    t (defined for odd k) has magnitude p^((k-1)/2); ell (defined for even
-    k) has magnitude p^((k-2)/2). The sign exponents (p-1)(k-1)/4 and
-    k(p-1)/4 are exact integers in their parity cases, which is asserted
-    before (-1) is raised to them.
-    """
-
-    p: int
-    k: int
-    t: int | None
-    ell: int | None
-
-    @classmethod
-    def for_case(cls, k: int, p: int) -> "LebesgueTerms":
-        if k % 2 == 1:
-            quad = (p - 1) * (k - 1)
-            if quad % 4:
-                raise ArithmeticError("sign exponent (p-1)(k-1)/4 is not integral")
-            sign = -1 if (quad // 4) % 2 else 1
-            return cls(p=p, k=k, t=sign * p ** ((k - 1) // 2), ell=None)
-        quad = k * (p - 1)
-        if quad % 4:
-            raise ArithmeticError("sign exponent k(p-1)/4 is not integral")
-        sign = -1 if (quad // 4) % 2 else 1
-        return cls(p=p, k=k, t=None, ell=sign * p ** ((k - 2) // 2))
+def even_k_sign(k: int, p: int) -> int:
+    """(-1)^(k(p-1)/4) for even k and odd p, as an exact +/-1."""
+    if k % 2 or p % 2 == 0:
+        raise ValueError("sign is defined for even k and odd p only")
+    return -1 if ((k // 2) * ((p - 1) // 2)) % 2 else 1
 
 
-def _is_quadratic_residue(lam: int, p: int) -> bool:
-    # Euler criterion; lam is known to be a unit mod p.
-    return pow(lam, (p - 1) // 2, p) == 1
+def _prime_count(k: int, lam: int, p: int) -> int:
+    """rho(k, lam, p) at an odd prime p (not re-checked), 0 <= lam < p."""
+    # for odd k the quadratic-character term carries the sign of k - 1
+    sign = even_k_sign(k - k % 2, p)
+    if k % 2:
+        # Euler criterion: lam^((p-1)/2) is 1, p - 1, or 0 at lam = 0
+        character = pow(lam, p // 2, p)
+        return p ** (k - 1) + sign * (character if character < 2 else -1) * p ** (k // 2)
+    return p ** (k - 1) + sign * p ** (k // 2 - 1) * (p - 1 if lam == 0 else -1)
 
 
 def rho_odd_prime(k: int, lam: int, p: int) -> int:
@@ -201,26 +195,7 @@ def rho_odd_prime(k: int, lam: int, p: int) -> int:
     lam %= p
     if lam == 0:
         raise ValueError(f"lam must be a unit modulo {p}")
-    return _odd_prime_count(k, lam, p)
-
-
-def _odd_prime_count(k: int, lam: int, p: int) -> int:
-    # rho_odd_prime without its checks, for callers that factored p themselves
-    terms = LebesgueTerms.for_case(k, p)
-    if k % 2 == 1:
-        if _is_quadratic_residue(lam, p):
-            return p ** (k - 1) + terms.t
-        return p ** (k - 1) - terms.t
-    return p ** (k - 1) - terms.ell
-
-
-def rho_odd_prime_power(k: int, lam: int, p: int, s: int) -> int:
-    """Lift the odd-prime count to p^s: multiply by p^((s-1)(k-1))."""
-    if s < 1:
-        raise ValueError(f"exponent must be >= 1, got {s}")
-    if p != 2 and lam % p == 0:
-        raise ValueError(f"lam must be a unit modulo {p}")
-    return p ** ((s - 1) * (k - 1)) * rho_odd_prime(k, lam % p, p)
+    return _prime_count(k, lam, p)
 
 
 @lru_cache(maxsize=4096)
@@ -239,49 +214,45 @@ def rho_base_vector(k: int, n: int) -> ResidueVector:
     return ResidueVector(n=n, k=k, counts=tuple(int(c) for c in _power_census(k, n)))
 
 
-def rho_pow2(k: int, lam: int, s: int) -> int:
-    """Count at modulus 2^s for odd lam.
+def _local_count(k: int, lam: int, p: int, e: int) -> int:
+    """rho(k, lam, p^e) for a prime p (not re-checked) and every lam."""
+    count, scale = 0, 1
+    while True:
+        if p == 2 and e <= 3:
+            return count + scale * rho_base_vector(k, 1 << e).counts[lam % (1 << e)]
+        if e <= 1:
+            return count + scale * (_prime_count(k, lam % p, p) if e else 1)
+        # the nonsingular solutions at the base modulus, lifted to p^e
+        if p == 2:
+            nonsingular, base = rho_base_vector(k, 8).counts[lam % 8], 3
+            if lam % 4 == 0:
+                nonsingular -= 2**k * rho_base_vector(k, 2).counts[lam // 4 % 2]
+        else:
+            nonsingular, base = _prime_count(k, lam % p, p) - (lam % p == 0), 1
+        count += scale * nonsingular * p ** ((e - base) * (k - 1))
+        # the rest have every coordinate divisible by p: x = p y
+        if lam % (p * p):
+            return count
+        lam //= p * p
+        e -= 2
+        scale *= p**k
 
-    s <= 3 reads the residue vector directly; above that the count scales
-    by 2^((s-3)(k-1)) from the modulus-8 value.
-    """
-    if s < 1:
-        raise ValueError(f"exponent must be >= 1, got {s}")
-    if lam % 2 == 0:
-        raise ValueError("lam must be odd for power-of-two moduli")
-    if s <= 3:
-        return rho_base_vector(k, 2**s).counts[lam % 2**s]
-    return 2 ** ((s - 3) * (k - 1)) * rho_base_vector(k, 8).counts[lam % 8]
 
-
-def _unit_count(k: int, lam: int, p: int, e: int) -> int:
-    """rho(k, lam, p^e) for a prime p (not re-checked) and lam a unit mod p."""
-    if p == 2:
-        return rho_pow2(k, lam % 2**e, e)
-    return p ** ((e - 1) * (k - 1)) * _odd_prime_count(k, lam % p, p)
-
-
-def rho(k: int, lam: int, n: int, guard: int = DEFAULT_GUARD) -> int:
+def rho(k: int, lam: int, n: int) -> int:
     """Number of k-tuples mod n whose square sum is lam.
 
-    For lam a unit mod n this is the product of prime-power counts (Chinese
-    remainder decomposition). For gcd(lam, n) > 1 there is no formula and
-    the guarded residue census is read instead.
+    The product of the local counts at the prime powers of n (Chinese
+    remainder decomposition), for every lam.
     """
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
     if k < 1:
         raise ValueError(f"tuple length must be >= 1, got {k}")
-    lam %= n
-    if n == 1:
-        return 1
-    if gcd(lam, n) != 1:
-        return rho_brute(k, lam, n, guard)
     factors = as_factorization(n).factors
     _check_output_bits(k, factors, "rho")
     result = 1
     for p, e in factors:
-        result *= _unit_count(k, lam, p, e)
+        result *= _local_count(k, lam, p, e)
     return result
 
 

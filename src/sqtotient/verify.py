@@ -109,9 +109,9 @@ def _census_totals(n_max: int):
             yield f"n={n} k={k}" if sum(rho_base_vector(k, n).counts) != n**k else None
 
 
-def _unit_counts(k: int, n: int) -> dict[int, int]:
-    """{lam: rho(k, lam, n)} over the units lam mod n."""
-    return {lam: rho(k, lam, n) for lam in range(n) if gcd(lam, n) == 1}
+def _residue_counts(k: int, n: int) -> list[int]:
+    """[rho(k, lam, n) for every lam mod n]."""
+    return [rho(k, lam, n) for lam in range(n)]
 
 
 def _formula_vs_census(moduli, guard: int, formulas):
@@ -121,7 +121,7 @@ def _formula_vs_census(moduli, guard: int, formulas):
             continue
         n, k = case
         census = sum_of_squares_census(k, n, guard)
-        for lam, formula in formulas(k, n).items():
+        for lam, formula in enumerate(formulas(k, n)):
             if formula != int(census[lam]):
                 yield f"k={k} lam={lam} n={n}: formula {formula} != census {int(census[lam])}"
         yield None
@@ -129,6 +129,7 @@ def _formula_vs_census(moduli, guard: int, formulas):
 
 def _multiplicativity(bound: int, guard: int, formulas):
     # rho(k, lam, mn) = rho(k, lam mod m, m) rho(k, lam mod n, n) for coprime m, n
+    # and every lam (Chinese remainder theorem)
     for m in range(2, bound + 1):
         for n in range(m + 1, bound + 1):
             if gcd(m, n) != 1:
@@ -141,7 +142,7 @@ def _multiplicativity(bound: int, guard: int, formulas):
                 census = sum_of_squares_census(k, mn, guard)
                 at_m, at_n = formulas(k, m), formulas(k, n)
                 for lam in range(mn):
-                    if gcd(lam, mn) == 1 and at_m[lam % m] * at_n[lam % n] != int(census[lam]):
+                    if at_m[lam % m] * at_n[lam % n] != int(census[lam]):
                         yield f"k={k} lam={lam} m={m} n={n}"
                 yield None
 
@@ -167,8 +168,8 @@ def _rho(limit: int, guard: int) -> list[Check]:
     prime_powers = [q for q in range(3, odd_bound + 1, 2) if len(factorize(q).factors) == 1]
     prime_powers += [1 << j for j in range(1, two_bound.bit_length())]
     n_max, general, pairs = min(limit, 64), min(limit, 100), min(limit, 24)
-    # the three formula checks read one table of unit counts per (k, n)
-    formulas = lru_cache(maxsize=None)(_unit_counts)
+    # the three formula checks read one table of residue counts per (k, n)
+    formulas = lru_cache(maxsize=None)(_residue_counts)
     return [
         _run(
             "closed forms at moduli 2, 4, 8",
@@ -178,17 +179,17 @@ def _rho(limit: int, guard: int) -> list[Check]:
         _run("census totals n^k", f"n <= {n_max}, k <= 8", _census_totals(n_max)),
         _run(
             "prime-power formula vs enumeration",
-            f"odd prime powers <= {odd_bound}, powers of two <= {two_bound}, k <= 6",
+            f"odd prime powers <= {odd_bound}, powers of two <= {two_bound}, every residue, k <= 6",
             _formula_vs_census(sorted(prime_powers), guard, formulas),
         ),
         _run(
             "general-modulus formula vs enumeration",
-            f"n <= {general}, unit residues, k <= 6",
+            f"n <= {general}, every residue, k <= 6",
             _formula_vs_census(range(1, general + 1), min(guard, 10**6), formulas),
         ),
         _run(
             "residue-count multiplicativity",
-            f"coprime pairs <= {pairs}, k <= 5",
+            f"coprime pairs <= {pairs}, every residue, k <= 5",
             _multiplicativity(pairs, min(guard, 10**6), formulas),
         ),
         _run(

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 import tracemalloc
 
 import pytest
@@ -84,21 +85,23 @@ class TestRhoCommand:
         assert result.exit_code == 0
         assert result.output.strip() == "8 (formula)"
 
-    def test_oracle_path(self, runner):
-        result = run(runner, "rho", "-k", "2", "-l", "0", "-n", "5", "--max-enum", "1000")
-        assert result.output.strip() == "9 (oracle)"
-
-    def test_budget_exit_code(self, runner):
-        result = run(runner, "rho", "-k", "2", "-l", "0", "-n", "5", "--max-enum", "10")
-        assert result.exit_code == 3
-        assert "budget" in result.output
+    def test_descent_path(self, runner):
+        assert run(runner, "rho", "-k", "2", "-l", "0", "-n", "5").output.strip() == "9 (descent)"
+        result = run(runner, "rho", "-k", "4", "-l", "0", "-n", "120")
+        assert result.exit_code == 0
+        assert result.output.strip() == "612480 (descent)"
+        started = time.process_time()
+        result = run(runner, "rho", "-k", "2", "-l", "0", "-n", "1000003")
+        assert result.exit_code == 0
+        assert result.output.strip() == "1 (descent)"
+        assert time.process_time() - started < 1
 
     def test_budget_exit_code_at_huge_k(self, runner):
-        # the refusal names n^k without building it or printing its digits
+        # the refusal names the count's bit length without building it
         for k in ("1000000", str(2**63 - 1)):
             result = run(runner, "rho", "-k", k, "-l", "0", "-n", "3")
             assert result.exit_code == 3
-            assert f"enumerating 3^{k} tuples" in result.output
+            assert f"output bit length of rho at k = {k}" in result.output
             assert "Traceback" not in result.output
 
     def test_deep_k_at_modulus_8(self, runner):
@@ -106,24 +109,23 @@ class TestRhoCommand:
         assert result.exit_code == 0
         assert result.output.strip() == f"{trig_closed_form_rho8(3000, 1)} (formula)"
 
-    def test_census_modulus_cap(self, runner):
-        # 10^8 = n^1 passes the tuple guard; the modulus cap refuses it before
-        # the census builds its 10^8-entry arrays (800 MB each)
+    def test_descent_past_the_census_cap(self, runner):
+        # 10^8 is over the census modulus cap; the descent builds no census
         tracemalloc.start()
         try:
             result = run(runner, "rho", "-k", "1", "-l", "0", "-n", str(10**8))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert result.exit_code == 3
-        assert "census at modulus 100000000" in result.output
-        assert "raise the guard" not in result.output
+        assert result.exit_code == 0
+        assert result.output.strip() == "10000 (descent)"
         assert peak < 10**7
 
     def test_max_enum_must_be_positive(self, runner):
         for budget in ("0", "-1"):
-            assert run(runner, "rho", "-k", "2", "-l", "0", "-n", "5", "--max-enum", budget).exit_code == 2
             assert run(runner, "verify", "rho", "--limit", "1", "--max-enum", budget).exit_code == 2
+        # rho enumerates nothing, so it takes no tuple budget
+        assert run(runner, "rho", "-k", "2", "-l", "0", "-n", "5", "--max-enum", "1000").exit_code == 2
 
     def test_json_fields(self, runner):
         result = run(runner, "rho", "-k", "1", "-l", "1", "-n", "8", "--format", "json", "--no-meta")

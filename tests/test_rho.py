@@ -1,5 +1,8 @@
 """Residue-class counting: formulas, census kernel, closed forms, oracle."""
 
+import sys
+import time
+import tracemalloc
 from math import gcd
 
 import numpy as np
@@ -10,7 +13,6 @@ from hypothesis import strategies as st
 from sqtotient import (
     DEFAULT_GUARD,
     BudgetExceededError,
-    LebesgueTerms,
     closed_form_rho2,
     closed_form_rho4,
     menon_lhs_brute,
@@ -19,8 +21,6 @@ from sqtotient import (
     rho_base_vector,
     rho_brute,
     rho_odd_prime,
-    rho_odd_prime_power,
-    rho_pow2,
     sum_of_squares_census,
     trig_closed_form_rho8,
 )
@@ -75,6 +75,35 @@ class TestCensusKernel:
         assert info.value.required == "2^28"
         assert list(sum_of_squares_census(5, 1, guard=1)) == [1]
 
+    def test_census_modulus_cap(self):
+        # 10^8 = n^1 passes the tuple guard; the modulus cap refuses it before
+        # the census builds its 10^8-entry arrays (800 MB each)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError) as info:
+                sum_of_squares_census(1, 10**8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "census at modulus 100000000" in str(info.value)
+        assert "raise the guard" not in str(info.value)
+        assert peak < 10**7
+
+    def test_work_cap_refuses_before_allocating(self):
+        # one convolution at n = 2^20 is 2^40 steps, about 15 min of CPU
+        started = time.process_time()
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError) as info:
+                rho_base_vector(2, 2**20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.value.required == 2**40
+        assert "census work at modulus 1048576" in str(info.value)
+        assert peak < 10**7
+        assert time.process_time() - started < 0.5
+
     @given(st.integers(min_value=1, max_value=20), st.integers(min_value=1, max_value=4))
     @settings(max_examples=60, deadline=None)
     def test_census_totals(self, n, k):
@@ -117,26 +146,25 @@ class TestOddPrime:
                     assert rho_odd_prime(k, lam, p) == census[lam], (k, lam, p)
 
     def test_lebesgue_term_magnitudes(self):
+        # the count is p^(k-1) plus a signed term of magnitude p^((k-1)/2)
+        # for odd k and p^((k-2)/2) for even k
         for p in (3, 5, 7, 11):
             for k in range(1, 9):
-                terms = LebesgueTerms.for_case(k, p)
-                if k % 2:
-                    assert abs(terms.t) == p ** ((k - 1) // 2)
-                    assert terms.ell is None
-                else:
-                    assert abs(terms.ell) == p ** ((k - 2) // 2)
-                    assert terms.t is None
+                for lam in range(1, p):
+                    assert abs(rho_odd_prime(k, lam, p) - p ** (k - 1)) == p ** ((k - 1) // 2), (k, lam, p)
 
 
 class TestOddPrimePower:
     def test_examples(self):
-        assert rho_odd_prime_power(1, 1, 3, 2) == 2
-        assert rho_odd_prime_power(2, 1, 3, 2) == 12
-        assert rho_odd_prime_power(2, 1, 5, 1) == 4
+        assert rho(1, 1, 9) == 2
+        assert rho(2, 1, 9) == 12
+        assert rho(2, 1, 5) == 4
 
-    def test_rejects_shared_factor(self):
-        with pytest.raises(ValueError):
-            rho_odd_prime_power(2, 6, 3, 2)
+    def test_shared_factor_descends(self):
+        # mod 9: 6 is nonsingular only; 0 adds the 3^2 tuples of multiples of 3
+        assert rho(2, 6, 9) == naive_census(2, 9)[6] == 0
+        assert rho(2, 0, 9) == naive_census(2, 9)[0] == 9
+        assert rho(3, 0, 27) == naive_census(3, 27)[0]
 
     def test_matches_enumeration(self):
         for p, s_max in ((3, 4), (5, 3), (7, 2)):
@@ -144,10 +172,8 @@ class TestOddPrimePower:
                 modulus = p**s
                 for k in range(1, 4):
                     census = naive_census(k, modulus)
-                    for lam in range(1, modulus):
-                        if lam % p == 0:
-                            continue
-                        assert rho_odd_prime_power(k, lam, p, s) == census[lam]
+                    for lam in range(modulus):
+                        assert rho(k, lam, modulus) == census[lam], (k, lam, modulus)
 
     def test_single_lift_step(self):
         # one extra exponent multiplies every unit-class count by p^(k-1);
@@ -223,21 +249,23 @@ class TestCountMatrix:
 
 class TestPow2:
     def test_examples(self):
-        assert rho_pow2(1, 1, 2) == 2  # modulus 4
-        assert rho_pow2(1, 1, 4) == 4  # modulus 16: x in {1, 7, 9, 15}
-        assert rho_pow2(2, 1, 3) == rho_brute(2, 1, 8) == 16
+        assert rho(1, 1, 4) == 2
+        assert rho(1, 1, 16) == 4  # x in {1, 7, 9, 15}
+        assert rho(2, 1, 8) == rho_brute(2, 1, 8) == 16
 
     def test_even_residue_rejected(self):
+        # the power-of-two closed forms are unit-only; rho descends instead
         with pytest.raises(ValueError):
-            rho_pow2(2, 4, 3)
+            closed_form_rho4(2, 2)
+        assert rho(2, 2, 4) == naive_census(2, 4)[2]
 
     def test_matches_enumeration(self):
         for s in range(1, 6):
             modulus = 2**s
             for k in range(1, 5):
                 census = naive_census(k, modulus)
-                for lam in range(1, modulus, 2):
-                    assert rho_pow2(k, lam, s) == census[lam], (k, lam, s)
+                for lam in range(modulus):
+                    assert rho(k, lam, modulus) == census[lam], (k, lam, modulus)
 
     def test_single_lift_step_above_eight(self):
         for s in (3, 4):
@@ -260,8 +288,7 @@ class TestCombined:
             for k in range(1, 4):
                 census = naive_census(k, n)
                 for lam in range(n):
-                    if n == 1 or gcd(lam, n) == 1:
-                        assert rho(k, lam, n) == census[lam], (k, lam, n)
+                    assert rho(k, lam, n) == census[lam], (k, lam, n)
 
     def test_formula_equals_census_to_200(self):
         # every modulus to 200, k up to 6 shrunk so n^k stays under the guard
@@ -271,8 +298,25 @@ class TestCombined:
                     break
                 census = sum_of_squares_census(k, n)
                 for lam in range(n):
-                    if n == 1 or gcd(lam, n) == 1:
-                        assert rho(k, lam, n) == int(census[lam]), (k, lam, n)
+                    assert rho(k, lam, n) == int(census[lam]), (k, lam, n)
+
+    def test_equals_base_vector_at_every_residue(self):
+        for n in range(1, 201):
+            for k in range(1, 9):
+                assert [rho(k, lam, n) for lam in range(n)] == list(rho_base_vector(k, n).counts), (k, n)
+
+    def test_never_reads_the_census(self, monkeypatch):
+        # the package attribute sqtotient.rho is the function, not the module
+        rho_module = sys.modules["sqtotient.rho"]
+        expected = {(k, n): rho_base_vector(k, n).counts for n in range(1, 101) for k in range(1, 5)}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("rho reached the census oracle")
+
+        monkeypatch.setattr(rho_module, "rho_brute", refuse)
+        monkeypatch.setattr(rho_module, "sum_of_squares_census", refuse)
+        for (k, n), counts in expected.items():
+            assert tuple(rho_module.rho(k, lam, n) for lam in range(n)) == counts, (k, n)
 
     def test_output_size_guard(self):
         # refused from the exponents alone, before any power is built
@@ -283,11 +327,11 @@ class TestCombined:
             rho(2**62, 1, 8)
         assert rho(1000, 1, 10**9 + 7) == rho_odd_prime(1000, 1, 10**9 + 7)
 
-    def test_non_unit_residues_fall_back_to_enumeration(self):
+    def test_non_unit_residues_match_the_oracle(self):
         assert rho(2, 0, 5) == 9
         assert rho(2, 2, 4) == 4
-        with pytest.raises(BudgetExceededError):
-            rho(6, 0, 50, guard=10**6)
+        # 50^6 tuples: over the default guard, so the oracle needs a raised one
+        assert rho(6, 0, 50) == rho_brute(6, 0, 50, guard=50**6)
 
     @given(
         st.integers(min_value=2, max_value=24),

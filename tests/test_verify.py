@@ -48,9 +48,9 @@ FAULTS = [
     (
         "rho", 20, "rho", _off_by_one_at_7,
         {
-            "prime-power formula vs enumeration": "k=1 lam=1 n=7: formula 3 != census 2",
-            "general-modulus formula vs enumeration": "k=1 lam=1 n=7: formula 3 != census 2",
-            "residue-count multiplicativity": "k=1 lam=1 m=2 n=7",
+            "prime-power formula vs enumeration": "k=1 lam=0 n=7: formula 2 != census 1",
+            "general-modulus formula vs enumeration": "k=1 lam=0 n=7: formula 2 != census 1",
+            "residue-count multiplicativity": "k=1 lam=0 m=2 n=7",
         },
     ),
     (
