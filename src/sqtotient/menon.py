@@ -22,7 +22,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .core_arith import Factorization, as_factorization, divisor_count, euler_phi, factorize
+import numpy as np
+
+from .core_arith import (
+    BudgetExceededError,
+    Factorization,
+    _check_sieve_limit,
+    as_factorization,
+    divisor_count,
+    euler_phi,
+    factorize,
+)
 from .phi import phi_k
 from .rho import DEFAULT_GUARD, _check_output_bits, _local_count, sum_of_squares_census
 
@@ -35,6 +45,11 @@ __all__ = [
     "psi_table",
     "psi_multiplicativity_scan",
 ]
+
+# Largest n_max of psi_table and bound of psi_multiplicativity_scan. Both
+# cost one _menon_lhs per modulus, a sum over every unit of each prime-power
+# block, so their work grows about quadratically with the bound.
+_MAX_SCAN_BOUND = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -64,11 +79,17 @@ def menon_classic(n: int) -> tuple[int, int]:
     """Both sides of the classical unit gcd-sum identity.
 
     Returns (sum over units j of gcd(j - 1, n), phi(n) d(n)); the two are
-    equal for every n.
+    equal for every n. The sum reads a table g[j] = gcd(j, n), 0 <= j <= n,
+    made by writing each divisor d of n, ascending, at the multiples of d.
+    The divisors come by trial, not factorize, to keep the sides independent.
     """
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
-    lhs = sum(gcd(j - 1, n) for j in range(1, n + 1) if gcd(j, n) == 1)
+    _check_sieve_limit(n, "menon_classic")
+    g = np.ones(n + 1, dtype=np.int64)
+    for d in np.flatnonzero(n % np.arange(1, n + 1) == 0) + 1:
+        g[::d] = d
+    lhs = int(g[:n][g[1:] == 1].sum())  # units j have g[j] == 1; gcd(j - 1, n) = g[j - 1]
     f = as_factorization(n)
     return lhs, euler_phi(f) * divisor_count(f)
 
@@ -124,6 +145,8 @@ def psi_table(k: int, n_max: int) -> list[MenonRow]:
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if n_max > _MAX_SCAN_BOUND:
+        raise BudgetExceededError(n_max, _MAX_SCAN_BOUND, "psi_table's n_max")
     rows = []
     for n in range(1, n_max + 1):
         f = factorize(n)
@@ -155,6 +178,8 @@ def psi_multiplicativity_scan(k: int, bound: int) -> list[PsiScanRow]:
         raise ValueError(f"tuple length must be >= 1, got {k}")
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
+    if bound > _MAX_SCAN_BOUND:
+        raise BudgetExceededError(bound, _MAX_SCAN_BOUND, "psi_multiplicativity_scan's bound")
     cache: dict[int, Fraction] = {}
 
     def psi(value: int) -> Fraction:

@@ -316,9 +316,11 @@ def _menon_classic(limit: int, guard: int) -> list[Check]:
 
 # Each suite with the largest limit it accepts where its work grows with
 # the limit: phi counts every n^k census under the guard, menon-classic
-# takes O(limit^2) gcds, and convolution builds a sieve and four tables of
-# limit + 1 entries (about 250 MB peak RSS at its cap). Each cap costs
-# seconds of CPU. rho and identities clamp every bound themselves.
+# fills one numpy gcd table of n + 1 entries per n <= limit (O(limit^2)
+# vectorised steps, about 2 s at its cap), and convolution builds a sieve
+# and four tables of limit + 1 entries (about 250 MB peak RSS at its cap).
+# Each cap costs seconds of CPU. rho and identities clamp every bound
+# themselves.
 SUITES = {
     "rho": (_rho, None),
     "phi": (_phi, 1 << 10),

@@ -241,6 +241,14 @@ class TestReportCommand:
         document = json.loads(result.output)
         assert all(set(row) == {"m", "n", "psi_m_psi_n", "psi_mn", "equal"} for row in document["rows"])
 
+    @pytest.mark.parametrize("kind, option", [("menon", "--nmax"), ("menon-mult", "--bound")])
+    def test_menon_bound_cap_exit_code(self, runner, kind, option):
+        for value in (2**12 + 1, 2**63 - 1):
+            result = run(runner, "report", kind, "-k", "2", option, str(value))
+            assert result.exit_code == 3
+            assert f"over the limit of {2**12}" in result.output
+            assert "Traceback" not in result.output
+
 
 class TestOutputContract:
     def test_csv_json_round_trip(self, runner):

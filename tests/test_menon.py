@@ -1,6 +1,8 @@
 """Gcd-sum identities and the candidate cofactor scans."""
 
+import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -27,6 +29,20 @@ class TestClassicIdentity:
         for n in range(1, 501):
             lhs, rhs = menon_classic(n)
             assert lhs == rhs == euler_phi(n) * divisor_count(n)
+
+    def test_table_equals_literal_definition(self):
+        # highly composite and prime-power moduli beside every n <= 600
+        for n in (*range(1, 601), 720, 5040, 10080, 2**13, 3**8, 7**4):
+            literal = sum(gcd(j - 1, n) for j in range(1, n + 1) if gcd(j, n) == 1)
+            assert menon_classic(n)[0] == literal, n
+
+    def test_modulus_cap_refuses_before_allocating(self):
+        start = time.process_time()
+        with pytest.raises(BudgetExceededError):
+            menon_classic(2**24 + 1)
+        with pytest.raises(BudgetExceededError):
+            menon_classic(10**12)
+        assert time.process_time() - start < 0.1
 
 
 class TestTupleGcdSum:
@@ -58,8 +74,6 @@ class TestTupleGcdSum:
             psi_table(2**63 - 1, 3)
 
     def test_first_order_reduces_to_square_gcd_sum(self):
-        from math import gcd
-
         for n in range(1, 200):
             direct = sum(
                 gcd(j * j - 1, n) for j in range(1, n + 1) if gcd(j, n) == 1
@@ -80,6 +94,13 @@ class TestPsiTable:
             assert row.integral == (row.psi.denominator == 1)
             assert (row.psi == 1) == (row.lhs == row.phi_k)
             assert row.phi_k == phi_k(row.k, row.n)
+
+    def test_bound_cap_refuses_before_any_work(self):
+        for bound in (2**12 + 1, 2**63 - 1):
+            with pytest.raises(BudgetExceededError):
+                psi_table(2, bound)
+            with pytest.raises(BudgetExceededError):
+                psi_multiplicativity_scan(2, bound)
 
     def test_first_order_cofactor_is_not_asserted_closed_form(self):
         # k = 1 cofactors are computed, not asserted against any formula;
