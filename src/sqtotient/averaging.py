@@ -589,7 +589,7 @@ def minimal_order_scan(
         raise ValueError(f"tuple length must be >= 1, got {k}")
     if k % 2 == 0 and not experimental:
         raise ValueError(
-            "the asserted limit exists for odd k; pass experimental=True to emit even-k data"
+            "the limit is asserted for odd k only; even k needs the experimental mode (data only)"
         )
     if prime_count < 3:
         raise ValueError("need at least the first three primes")
@@ -599,8 +599,6 @@ def minimal_order_scan(
         )
     bound = 15 * prime_count  # p_m < m (log m + log log m) with slack
     primes = primes_upto(max(bound, 30))[:prime_count]
-    if len(primes) < prime_count:
-        primes = primes_upto(bound * 4)[:prime_count]
     # the exact ratio gains about k log2 p bits per prime
     _check_output_bits(k, [(p, 1) for p in primes], "minimal_order_scan")
     rows: list[tuple[int, float]] = []

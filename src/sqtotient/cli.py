@@ -1,24 +1,30 @@
 """Command-line surface: evaluate, verify, and generate reports.
 
 Exit codes: 0 success / all checks pass, 1 verification failure (or I/O
-failure while writing a report), 2 usage error, 3 a resource guard
-refused the computation.
+failure while writing a report), 2 usage error (an option out of range or
+any argument the library refuses), 3 a resource guard refused the
+computation.
 """
 
 from __future__ import annotations
 
 import functools
 import sys
+from dataclasses import fields
 from math import gcd
 
 import click
 
 from . import averaging, menon, verify
+from .core_arith import BudgetExceededError
 from .phi import phi_k
 from .reporting import FORMATS, render
-from .rho import DEFAULT_GUARD, MAX_OUTPUT_BITS, BudgetExceededError, rho
+from .rho import DEFAULT_GUARD, MAX_OUTPUT_BITS, rho
 
 INT64_MAX = 2**63 - 1
+
+# The type of every integer option but -l, which starts at 0.
+POSITIVE = click.IntRange(1, INT64_MAX)
 
 
 def output_options(command):
@@ -39,7 +45,8 @@ def output_options(command):
 
 
 def guard_errors(command):
-    # resource guards map to exit code 3, everything else propagates
+    # resource guards map to exit code 3, arguments the library refuses to
+    # exit code 2; everything else propagates
     @functools.wraps(command)
     def wrapped(*args, **kwargs):
         try:
@@ -47,6 +54,8 @@ def guard_errors(command):
         except BudgetExceededError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(3)
+        except ValueError as exc:
+            raise click.UsageError(str(exc)) from None
 
     return wrapped
 
@@ -63,10 +72,8 @@ def _emit(text: str, out: str | None):
         sys.exit(1)
 
 
-def _int64(value: int, name: str, minimum: int = 1) -> int:
-    if value < minimum or value > INT64_MAX:
-        raise click.BadParameter(f"{name} must be in [{minimum}, 2^63 - 1]")
-    return value
+def _fields(row_type) -> list[str]:
+    return [field.name for field in fields(row_type)]
 
 
 @click.group()
@@ -81,19 +88,17 @@ def main():
 
 
 @main.command("phi")
-@click.option("-k", "--k", "k", type=int, required=True, help="Tuple length.")
-@click.option("-n", "--n", "n", type=int, default=None, help="Single modulus to evaluate.")
-@click.option("--range", "range_end", type=int, default=None, help="Evaluate every modulus 1..X via the sieve table.")
+@click.option("-k", "--k", "k", type=POSITIVE, required=True, help="Tuple length.")
+@click.option("-n", "--n", "n", type=POSITIVE, default=None, help="Single modulus to evaluate.")
+@click.option("--range", "range_end", type=POSITIVE, default=None, help="Evaluate every modulus 1..X via the sieve table.")
 @output_options
 @guard_errors
 def phi_command(k, n, range_end, fmt, out, no_meta):
     """Evaluate the square-sum totient at one modulus or over a range."""
-    k = _int64(k, "-k")
     if (n is None) == (range_end is None):
         raise click.UsageError("provide exactly one of -n or --range")
     meta = not no_meta
     if n is not None:
-        n = _int64(n, "-n")
         value = phi_k(k, n)
         if fmt == "plain":
             # scalar answers stay bare so they can be piped directly
@@ -101,23 +106,19 @@ def phi_command(k, n, range_end, fmt, out, no_meta):
         else:
             _emit(render([{"k": k, "n": n, "phi": value}], ["k", "n", "phi"], fmt, meta), out)
         return
-    range_end = _int64(range_end, "--range")
     values = averaging.phi_k_table(k, range_end)
     rows = [{"k": k, "n": n_, "phi": values[n_]} for n_ in range(1, range_end + 1)]
     _emit(render(rows, ["k", "n", "phi"], fmt, meta), out)
 
 
 @main.command("rho")
-@click.option("-k", "--k", "k", type=int, required=True, help="Tuple length.")
-@click.option("-l", "--lam", "lam", type=int, required=True, help="Target residue class.")
-@click.option("-n", "--n", "n", type=int, required=True, help="Modulus.")
+@click.option("-k", "--k", "k", type=POSITIVE, required=True, help="Tuple length.")
+@click.option("-l", "--lam", "lam", type=click.IntRange(0, INT64_MAX), required=True, help="Target residue class.")
+@click.option("-n", "--n", "n", type=POSITIVE, required=True, help="Modulus.")
 @output_options
 @guard_errors
 def rho_command(k, lam, n, fmt, out, no_meta):
     """Count tuples whose square sum hits one residue class."""
-    k = _int64(k, "-k")
-    n = _int64(n, "-n")
-    lam = _int64(lam, "-l", minimum=0)
     path = "formula" if gcd(lam, n) == 1 else "descent"
     value = rho(k, lam, n)
     if fmt == "plain":
@@ -129,8 +130,8 @@ def rho_command(k, lam, n, fmt, out, no_meta):
 
 @main.command("verify")
 @click.argument("suite", type=click.Choice(sorted(verify.SUITES)))
-@click.option("--limit", type=click.IntRange(1, INT64_MAX), default=50, show_default=True, help="Range bound handed to the suite.")
-@click.option("--max-enum", type=click.IntRange(1, INT64_MAX), default=DEFAULT_GUARD, show_default=True, help="Tuple budget for enumeration oracles.")
+@click.option("--limit", type=POSITIVE, default=50, show_default=True, help="Range bound handed to the suite.")
+@click.option("--max-enum", type=POSITIVE, default=DEFAULT_GUARD, show_default=True, help="Tuple budget for enumeration oracles.")
 @output_options
 @guard_errors
 def verify_command(suite, limit, max_enum, fmt, out, no_meta):
@@ -149,79 +150,40 @@ def verify_command(suite, limit, max_enum, fmt, out, no_meta):
 @click.argument(
     "kind", type=click.Choice(["average", "constants", "minimal-order", "menon", "menon-mult"])
 )
-@click.option("-k", "--k", "k", type=int, default=None, help="Tuple length (defaults per report kind).")
+@click.option("-k", "--k", "k", type=POSITIVE, default=None, help="Tuple length (defaults per report kind).")
 @click.option("--xs", default=None, help="Comma-separated ascending range ends, e.g. 1000,10000.")
 @click.option("--tol", type=float, default=1e-9, show_default=True, help="Certified error bound for constants.")
-@click.option("--primes", "prime_count", type=click.IntRange(3, 10000), default=9, show_default=True, help="Primorial length for minimal-order.")
+@click.option("--primes", "prime_count", type=POSITIVE, default=9, show_default=True, help="Primorial length for minimal-order.")
 @click.option("--experimental", is_flag=True, help="Allow even k in the minimal-order scan (data only).")
-@click.option("--nmax", type=click.IntRange(1, INT64_MAX), default=40, show_default=True, help="Largest modulus for the menon table.")
-@click.option("--bound", type=click.IntRange(1, INT64_MAX), default=60, show_default=True, help="Product bound for the multiplicativity scan.")
+@click.option("--nmax", type=POSITIVE, default=40, show_default=True, help="Largest modulus for the menon table.")
+@click.option("--bound", type=POSITIVE, default=60, show_default=True, help="Product bound for the multiplicativity scan.")
 @output_options
 @guard_errors
 def report_command(kind, k, xs, tol, prime_count, experimental, nmax, bound, fmt, out, no_meta):
     """Generate a machine-readable report (deterministic with --no-meta)."""
     meta = not no_meta
     if kind == "average":
-        k = _int64(k if k is not None else 1, "-k")
         if not xs:
             raise click.UsageError("report average needs --xs")
         try:
             ends = [int(part) for part in xs.split(",") if part.strip()]
         except ValueError as exc:
             raise click.UsageError(f"--xs must be comma-separated integers: {exc}")
-        try:
-            rows = averaging.averaging_report(k, ends, tol=tol)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
-        records = [
-            {
-                "x": r.x,
-                "partial_sum": r.partial_sum,
-                "main_term": r.main_term,
-                "rel_error": r.rel_error,
-                "error_ratio": r.error_ratio,
-            }
-            for r in rows
-        ]
-        _emit(render(records, ["x", "partial_sum", "main_term", "rel_error", "error_ratio"], fmt, meta), out)
+        rows = averaging.averaging_report(k or 1, ends, tol=tol)
+        _emit(render([vars(r) for r in rows], _fields(averaging.AveragingRow), fmt, meta), out)
         return
 
     if kind == "constants":
-        k = _int64(k if k is not None else 2, "-k")
-        if not tol > 0:  # also refuses nan
-            raise click.UsageError("--tol must be positive")
-        constant = averaging.euler_constant(k, tol)
-        records = [
-            {
-                "form": "euler_product",
-                "k": k,
-                "value": constant.value,
-                "prime_bound": constant.prime_bound,
-                "tail_bound": constant.tail_bound,
-            }
-        ]
+        k = k or 2
+        forms = {"euler_product": averaging.euler_constant(k, tol)}
         if k in (2, 4):
-            corollary = averaging.corollary_constant(k, tol)
-            records.append(
-                {
-                    "form": "corollary_product",
-                    "k": k,
-                    "value": corollary.value,
-                    "prime_bound": corollary.prime_bound,
-                    "tail_bound": corollary.tail_bound,
-                }
-            )
-        _emit(render(records, ["form", "k", "value", "prime_bound", "tail_bound"], fmt, meta), out)
+            forms["corollary_product"] = averaging.corollary_constant(k, tol)
+        records = [{"form": form, **vars(c)} for form, c in forms.items()]
+        _emit(render(records, ["form", *_fields(averaging.EulerConstant)], fmt, meta), out)
         return
 
     if kind == "minimal-order":
-        k = _int64(k if k is not None else 1, "-k")
-        if k % 2 == 0 and not experimental:
-            raise click.UsageError("minimal-order asserts a limit for odd k only; pass --experimental for even k")
-        try:
-            rows = averaging.minimal_order_scan(k, prime_count, experimental=experimental)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
+        rows = averaging.minimal_order_scan(k or 1, prime_count, experimental=experimental)
         records = [
             {"primes": i, "primorial": n, "ratio": ratio}
             for i, (n, ratio) in enumerate(rows, start=3)
@@ -230,17 +192,11 @@ def report_command(kind, k, xs, tol, prime_count, experimental, nmax, bound, fmt
         return
 
     if kind == "menon":
-        k = _int64(k if k is not None else 2, "-k")
-        rows = menon.psi_table(k, nmax)
-        records = [
-            {"k": r.k, "n": r.n, "lhs": r.lhs, "phi_k": r.phi_k, "psi": r.psi, "integral": r.integral}
-            for r in rows
-        ]
-        _emit(render(records, ["k", "n", "lhs", "phi_k", "psi", "integral"], fmt, meta), out)
+        rows = menon.psi_table(k or 2, nmax)
+        _emit(render([vars(r) for r in rows], _fields(menon.MenonRow), fmt, meta), out)
         return
 
-    k = _int64(k if k is not None else 2, "-k")
-    rows = menon.psi_multiplicativity_scan(k, bound)
+    rows = menon.psi_multiplicativity_scan(k or 2, bound)
     records = [
         {"m": r.m, "n": r.n, "psi_m_psi_n": r.separate, "psi_mn": r.combined, "equal": r.equal}
         for r in rows

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -46,10 +46,15 @@ __all__ = [
     "psi_multiplicativity_scan",
 ]
 
-# Largest n_max of psi_table and bound of psi_multiplicativity_scan. Both
-# cost one _menon_lhs per modulus, a sum over every unit of each prime-power
-# block, so their work grows about quadratically with the bound.
-_MAX_SCAN_BOUND = 1 << 12
+# Largest bound^2 x max(k, 64)^1.5 / 8 that psi_table (bound n_max) and
+# psi_multiplicativity_scan run. Both cost one _menon_lhs per modulus, a sum
+# over every unit of each prime-power block, so their work grows about
+# quadratically with the bound; each term works on integers of about
+# k log2(n) bits, and the cost per bound^2 was measured to grow about as
+# k^1.5 at large k. For k <= 64 the weight is 64 and the bound goes up to
+# 2^12 (about 5 s of CPU at k = 64 on a 2-vCPU VM); at the cap for k from
+# 128 to 65536, 1-3 s.
+_MAX_SCAN_WORK = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -132,6 +137,12 @@ def menon_lhs_brute(k: int, n: int, guard: int = DEFAULT_GUARD) -> int:
     )
 
 
+def _check_scan_work(k: int, bound: int, what: str) -> None:
+    work = bound**2 * (isqrt(max(k, 64) ** 3) // 8)
+    if work > _MAX_SCAN_WORK:
+        raise BudgetExceededError(work, _MAX_SCAN_WORK, f"{what} work (bound^2 x max(k, 64)^1.5 / 8)")
+
+
 def _psi(k: int, n: int) -> Fraction:
     f = factorize(n)
     return Fraction(_menon_lhs(k, f), phi_k(k, f))
@@ -145,8 +156,7 @@ def psi_table(k: int, n_max: int) -> list[MenonRow]:
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if n_max > _MAX_SCAN_BOUND:
-        raise BudgetExceededError(n_max, _MAX_SCAN_BOUND, "psi_table's n_max")
+    _check_scan_work(k, n_max, "psi_table")
     rows = []
     for n in range(1, n_max + 1):
         f = factorize(n)
@@ -178,8 +188,7 @@ def psi_multiplicativity_scan(k: int, bound: int) -> list[PsiScanRow]:
         raise ValueError(f"tuple length must be >= 1, got {k}")
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
-    if bound > _MAX_SCAN_BOUND:
-        raise BudgetExceededError(bound, _MAX_SCAN_BOUND, "psi_multiplicativity_scan's bound")
+    _check_scan_work(k, bound, "psi_multiplicativity_scan")
     cache: dict[int, Fraction] = {}
 
     def psi(value: int) -> Fraction:

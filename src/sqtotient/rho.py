@@ -42,7 +42,6 @@ from .core_arith import BudgetExceededError, as_factorization, is_prime
 
 __all__ = [
     "DEFAULT_GUARD",
-    "BudgetExceededError",
     "ResidueVector",
     "sum_of_squares_census",
     "rho_brute",

@@ -12,25 +12,21 @@ import mpmath as mp
 
 from sqtotient import (
     build_spf,
-    closed_form_rho2,
-    closed_form_rho4,
     corollary_constant,
     euler_constant,
     menon_classic,
     minimal_order_scan,
-    partial_sum,
     phi_k,
-    phi_k_brute,
-    phi_k_via_rho,
     psi_multiplicativity_scan,
     psi_table,
     rho,
     rho_base_vector,
-    rho_brute,
+    run_suite,
     sum_of_squares_census,
-    trig_closed_form_rho8,
 )
-from sqtotient.verify import run_suite
+from sqtotient.averaging import partial_sum
+from sqtotient.phi import phi_k_brute, phi_k_via_rho
+from sqtotient.rho import closed_form_rho2, closed_form_rho4, rho_brute, trig_closed_form_rho8
 
 GUARD = 10**8
 

@@ -1,31 +1,33 @@
 """Bulk tables, asymptotic constants, convolution coefficients, scans."""
 
 import math
+from bisect import bisect_right
 
 import mpmath as mp
 import pytest
 
 from sqtotient import (
     BudgetExceededError,
-    averaging_report,
     build_spf,
-    convolution_check,
     corollary_constant,
     euler_constant,
-    euler_phi,
     factorize,
     g_k_table,
     minimal_order_scan,
-    partial_sum,
     phi_k,
     phi_k_table,
 )
 from sqtotient.averaging import (
     _CHUNK,
+    _MAX_PRIMORIAL_PRIMES,
     _beta_fixed,
     _euler_family,
     _log_coefficients,
+    averaging_report,
+    convolution_check,
+    partial_sum,
 )
+from sqtotient.core_arith import euler_phi, primes_upto
 
 
 class TestPhiTable:
@@ -330,6 +332,12 @@ class TestMinimalOrder:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             minimal_order_scan(1, 100000)
+
+    def test_prime_bound_holds_every_allowed_count(self):
+        # minimal_order_scan takes the first m primes from primes_upto(max(15 m, 30))
+        primes = primes_upto(15 * _MAX_PRIMORIAL_PRIMES)
+        for m in range(3, _MAX_PRIMORIAL_PRIMES + 1):
+            assert bisect_right(primes, max(15 * m, 30)) >= m, m
 
     def test_output_size_guard(self):
         with pytest.raises(BudgetExceededError, match="output bit length of minimal_order_scan"):

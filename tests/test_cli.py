@@ -6,11 +6,12 @@ import json
 import time
 import tracemalloc
 
+import click
 import pytest
 from click.testing import CliRunner
 
-from sqtotient import trig_closed_form_rho8
-from sqtotient.cli import main
+from sqtotient.cli import INT64_MAX, main
+from sqtotient.rho import trig_closed_form_rho8
 
 
 @pytest.fixture
@@ -246,8 +247,68 @@ class TestReportCommand:
         for value in (2**12 + 1, 2**63 - 1):
             result = run(runner, "report", kind, "-k", "2", option, str(value))
             assert result.exit_code == 3
-            assert f"over the limit of {2**12}" in result.output
+            assert f"over the limit of {2**30}" in result.output
             assert "Traceback" not in result.output
+
+    def test_menon_cap_bounds_k(self, runner):
+        # n_max = 4096 is admitted at k = 2 but would take minutes at k = 1000
+        started = time.process_time()
+        result = run(runner, "report", "menon", "-k", "1000", "--nmax", "4096")
+        assert result.exit_code == 3
+        assert "psi_table work" in result.output
+        assert time.process_time() - started < 1
+
+
+# Every integer option of every subcommand, with arguments that are valid
+# without it; the option is appended, so its value overrides any default.
+BASE_ARGS = {
+    "phi": ["phi", "-k", "2", "-n", "5"],
+    "rho": ["rho", "-k", "2", "-l", "1", "-n", "5"],
+    "verify": ["verify", "rho", "--limit", "1"],
+    "report": ["report", "menon", "--nmax", "3"],
+}
+INT_OPTIONS = [
+    (name, param)
+    for name, command in sorted(main.commands.items())
+    for param in command.params
+    if isinstance(param.type, click.types.IntParamType)
+]
+
+
+class TestIntegerContract:
+    def test_every_subcommand_is_covered(self):
+        assert set(BASE_ARGS) == set(main.commands)
+        assert len(INT_OPTIONS) == 12
+
+    @pytest.mark.parametrize(
+        "name, param", INT_OPTIONS, ids=[f"{name} {param.opts[0]}" for name, param in INT_OPTIONS]
+    )
+    def test_out_of_range_is_usage_error(self, runner, name, param):
+        assert isinstance(param.type, click.IntRange)
+        assert param.type.max == INT64_MAX
+        assert run(runner, *BASE_ARGS[name]).exit_code == 0
+        for value in (param.type.min - 1, 2**63):
+            result = run(runner, *BASE_ARGS[name], param.opts[0], str(value))
+            assert result.exit_code == 2
+            assert f"Invalid value for '{param.opts[0]}'" in result.output
+            assert "Traceback" not in result.output
+
+    def test_library_argument_errors_are_usage_errors(self, runner):
+        for args in (
+            ("report", "minimal-order", "-k", "1", "--primes", "2"),
+            ("report", "constants", "--tol", "0"),
+            ("report", "average", "--xs", "2,10"),
+            ("report", "average", "--xs", "100", "--tol", "nan"),
+        ):
+            result = run(runner, *args)
+            assert result.exit_code == 2
+            assert "Traceback" not in result.output
+
+    def test_primorial_scan_length_is_a_budget(self, runner):
+        result = run(runner, "report", "minimal-order", "-k", "1", "--primes", "10001")
+        assert result.exit_code == 3
+        assert "primorial scan length" in result.output
+        assert "Traceback" not in result.output
 
 
 class TestOutputContract:

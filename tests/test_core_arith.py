@@ -9,13 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import factorint, nextprime
 
-from sqtotient import (
-    BudgetExceededError,
+from sqtotient import BudgetExceededError, build_spf, factorize
+from sqtotient.core_arith import (
     Factorization,
-    build_spf,
     divisor_count,
     euler_phi,
-    factorize,
     is_prime,
     jordan_totient,
 )

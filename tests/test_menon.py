@@ -8,15 +8,14 @@ import pytest
 
 from sqtotient import (
     BudgetExceededError,
-    divisor_count,
-    euler_phi,
     menon_classic,
     menon_lhs,
-    menon_lhs_brute,
     phi_k,
     psi_multiplicativity_scan,
     psi_table,
 )
+from sqtotient.core_arith import divisor_count, euler_phi
+from sqtotient.menon import _check_scan_work, menon_lhs_brute
 
 
 class TestClassicIdentity:
@@ -101,6 +100,21 @@ class TestPsiTable:
                 psi_table(2, bound)
             with pytest.raises(BudgetExceededError):
                 psi_multiplicativity_scan(2, bound)
+
+    def test_work_cap_weighs_k(self):
+        # k <= 64 keeps bounds up to 2^12; larger k pay k^1.5 per bound^2
+        for k in (1, 2, 64):
+            _check_scan_work(k, 2**12, "scan")
+            with pytest.raises(BudgetExceededError, match="scan work"):
+                _check_scan_work(k, 2**12 + 1, "scan")
+        _check_scan_work(1000, 521, "scan")
+        started = time.process_time()
+        for bound in (522, 2**12):
+            with pytest.raises(BudgetExceededError):
+                psi_table(1000, bound)
+            with pytest.raises(BudgetExceededError):
+                psi_multiplicativity_scan(1000, bound)
+        assert time.process_time() - started < 0.1
 
     def test_first_order_cofactor_is_not_asserted_closed_form(self):
         # k = 1 cofactors are computed, not asserted against any formula;

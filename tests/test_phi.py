@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqtotient import (
-    BudgetExceededError,
-    euler_phi,
-    phi_k,
+from sqtotient import BudgetExceededError, phi_k
+from sqtotient.core_arith import euler_phi
+from sqtotient.phi import (
     phi_k_brute,
     phi_k_prime_power,
     phi_k_via_jordan,

@@ -10,18 +10,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sqtotient import (
+from sqtotient import BudgetExceededError, rho, rho_base_vector, sum_of_squares_census
+from sqtotient.menon import menon_lhs_brute
+from sqtotient.phi import phi_k_brute
+from sqtotient.rho import (
     DEFAULT_GUARD,
-    BudgetExceededError,
     closed_form_rho2,
     closed_form_rho4,
-    menon_lhs_brute,
-    phi_k_brute,
-    rho,
-    rho_base_vector,
     rho_brute,
     rho_odd_prime,
-    sum_of_squares_census,
     trig_closed_form_rho8,
 )
 from conftest import naive_census

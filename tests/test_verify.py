@@ -5,7 +5,8 @@ import re
 import pytest
 
 import sqtotient.verify as verify
-from sqtotient import BudgetExceededError, ConvolutionReport
+from sqtotient import BudgetExceededError
+from sqtotient.averaging import ConvolutionReport
 from sqtotient.verify import SUITES, run_suite
 
 
