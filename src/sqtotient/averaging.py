@@ -7,10 +7,10 @@ with
     C_k = 3/4 * prod_{p>2} (1 - 1/p^2 - s_p (p-1)/p^(k/2+2)) (k even),
 
 s_p = (-1)^(k(p-1)/4). The tables are exact integers, built from the
-prime-power values by one SPF sieve and a multiplicative walk that fills
-whole chunks of n at once in numpy (int64 while limit^k < 2^63, Python
-ints above); the constants are high-precision reals within a certified
-bound of the true value.
+values at primes and the constant ratio f(p^(e+1))/f(p^e) by one SPF
+sieve and a multiplicative walk that fills whole chunks of n at once in
+numpy (int64 while limit^k < 2^63, Python ints above); the constants are
+high-precision reals within a certified bound of the true value.
 
 A plainly truncated product converges like 1/(P log P). Instead each
 constant is evaluated by Cohen's method (H. Cohen, "High precision
@@ -49,8 +49,8 @@ from .core_arith import (
     factorize,
     primes_upto,
 )
-from .phi import phi_k_prime_power
-from .rho import _check_output_bits, even_k_sign
+from .phi import _phi_k_at_primes, phi_k_prime_power
+from .rho import _check_output_bits
 
 __all__ = [
     "EulerConstant",
@@ -138,18 +138,20 @@ class ConvolutionReport:
 _CHUNK = 1 << 13
 
 
-def _multiplicative_table(limit: int, k: int, table: SpfTable | None, local) -> list[int]:
-    """values[n] = f(n) for n <= limit, f multiplicative with f(p^e) = local(p, e).
+def _multiplicative_table(limit: int, k: int, table: SpfTable | None, at_primes, ratio) -> list[int]:
+    """values[n] = f(n) for n <= limit, f multiplicative and given at primes.
 
-    With p = spf[n] and p^e the exact power of p dividing n, f(n) =
-    f(p^e) * f(n / p^e), and both factors are at most n/2 unless n is a
-    prime power. So n is walked in chunks of _CHUNK entries, each filled
-    by numpy: ``local`` is called once per prime power, and every other
-    entry comes from one gather per dyadic block [2^j, 2^(j+1)) that the
-    chunk meets, since the blocks below it are already filled.
-    |f(n)| <= n^k is required, which keeps the table in int64 while
-    limit^k < 2^63 and in exact Python ints above. Slot 0 is a placeholder.
-    A limit above the sieve cap is refused before anything is allocated.
+    ``at_primes`` maps an array of primes, in the table's dtype, to f(p);
+    ``ratio`` maps one to r(p) with f(p^(e+1)) = r(p) f(p^e) for e >= 1.
+    With p = spf[n] and m = n / p, f(n) is f(m) r(p) when p divides m and
+    f(m) f(p) otherwise, and m, like p when n is composite, is at most n/2.
+    So n is walked in chunks of _CHUNK entries, each filled by numpy: the
+    chunk's primes by one call of ``at_primes``, every other entry by one
+    gather per dyadic block [2^j, 2^(j+1)) that the chunk meets, since the
+    blocks below it are already filled. |f(n)| <= n^k is required, which
+    keeps the table in int64 while limit^k < 2^63 and in exact Python ints
+    above. Slot 0 is a placeholder. A limit above the sieve cap is refused
+    before anything is allocated.
     """
     _check_sieve_limit(limit, "multiplicative table")
     dtype = np.int64 if limit**k < 2**63 else object
@@ -157,50 +159,43 @@ def _multiplicative_table(limit: int, k: int, table: SpfTable | None, local) -> 
     values[1] = 1
     if limit >= 2:
         spf = (table if table is not None and table.limit >= limit else build_spf(limit)).spf
+        # a composite n <= limit has spf[n] <= isqrt(limit)
+        ratios = ratio(np.arange(math.isqrt(limit) + 1).astype(dtype))
         for lo in range(0, limit + 1, _CHUNK):
-            _fill_chunk(values, spf, max(lo, 2), min(lo + _CHUNK, limit + 1), local)
+            _fill_chunk(values, spf, max(lo, 2), min(lo + _CHUNK, limit + 1), at_primes, ratios)
         del spf  # frees a sieve built here before the list is allocated
     return values.tolist()
 
 
-def _fill_chunk(values: np.ndarray, spf: np.ndarray, lo: int, hi: int, local) -> None:
+def _fill_chunk(values: np.ndarray, spf: np.ndarray, lo: int, hi: int, at_primes, ratios: np.ndarray) -> None:
     # values[lo:hi]; every entry below lo is already filled
     p = spf[lo:hi]
-    m = np.arange(lo, hi, dtype=np.int64) // p
-    q = p.copy()  # p^e, the exact power of p dividing n
-    e = np.ones(hi - lo, dtype=np.int64)
-    more = np.flatnonzero(m % p == 0)
-    while more.size:
-        m[more] //= p[more]
-        q[more] *= p[more]
-        e[more] += 1
-        more = more[m[more] % p[more] == 0]
-    prime_power = m == 1
-    values[lo + np.flatnonzero(prime_power)] = [
-        local(pp, ee) for pp, ee in zip(p[prime_power].tolist(), e[prime_power].tolist())
-    ]
-    rest = np.flatnonzero(~prime_power)
+    prime = p == np.arange(lo, hi)
+    values[lo + np.flatnonzero(prime)] = at_primes(p[prime].astype(values.dtype))
+    rest = np.flatnonzero(~prime)
+    p = p[rest]
+    m = (lo + rest) // p
+    factor = np.where(m % p == 0, ratios[p], values[p])
     # an aligned chunk lies in one dyadic block; only the first meets several
     cuts = [lo] + [1 << j for j in range(lo.bit_length(), (hi - 1).bit_length())] + [hi]
     ends = np.searchsorted(rest, np.array(cuts) - lo)
     for i, j in zip(ends, ends[1:]):
-        block = rest[i:j]
-        values[lo + block] = values[q[block]] * values[m[block]]
+        values[lo + rest[i:j]] = values[m[i:j]] * factor[i:j]
 
 
 def phi_k_table(k: int, x: int, table: SpfTable | None = None) -> list[int]:
     """Exact phi_k(n) for all n <= x, indexed by n (slot 0 is a placeholder).
 
-    Built from the prime-power values by the multiplicative sieve walk
-    (one SPF sieve, vectorised chunks of n) instead of per-value trial
-    division.
+    Built from the values at primes and the ratio p^k between consecutive
+    prime powers by the multiplicative sieve walk (one SPF sieve,
+    vectorised chunks of n) instead of per-value trial division.
     """
     if k < 1:
         raise ValueError(f"tuple length must be >= 1, got {k}")
     if x < 1:
         raise ValueError(f"range end must be >= 1, got {x}")
     _check_output_bits(k, ((x, 1),), "phi_k_table")
-    return _multiplicative_table(x, k, table, lambda p, e: phi_k_prime_power(k, p, e))
+    return _multiplicative_table(x, k, table, lambda p: _phi_k_at_primes(k, p), lambda p: p**k)
 
 
 def partial_sum(k: int, x: int, table: SpfTable | None = None) -> int:
@@ -483,23 +478,15 @@ def corollary_constant(k: int, tol: float = 1e-9, prime_bound: int | None = None
 def g_k_table(k: int, limit: int, table: SpfTable | None = None) -> GkCoefficient:
     """Multiplicative convolution coefficients g_k(n) for n <= limit.
 
-    Prime values are -2^(k-1) at p = 2 and
-    -p^(k-1) - s_p p^(k/2-1)(p-1) at odd p; anything non-squarefree is 0.
+    Prime values are phi_k(p) - p^k, as phi_k = id_k * g_k; anything
+    non-squarefree is 0.
     """
     if k < 1 or k % 2:
         raise ValueError(f"the convolution decomposition is used for even k, got {k}")
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     _check_output_bits(k, ((limit, 1),), "g_k_table")
-
-    def local(p: int, e: int) -> int:
-        if e > 1:
-            return 0
-        if p == 2:
-            return -(2 ** (k - 1))
-        return -(p ** (k - 1)) - even_k_sign(k, p) * p ** (k // 2 - 1) * (p - 1)
-
-    values = _multiplicative_table(limit, k, table, local)
+    values = _multiplicative_table(limit, k, table, lambda p: _phi_k_at_primes(k, p) - p**k, lambda p: 0 * p)
     return GkCoefficient(k=k, limit=limit, values=tuple(values))
 
 

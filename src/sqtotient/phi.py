@@ -75,6 +75,16 @@ def phi_k_prime_power(k: int, p: int, r: int) -> int:
     return p ** (k * r - half - 1) * (p - 1) * (p**half - even_k_sign(k, p))
 
 
+def _phi_k_at_primes(k: int, p: np.ndarray) -> np.ndarray:
+    """phi_k(p) for an array of primes, in p's dtype (int64 or object)."""
+    if k % 2:
+        return p ** (k - 1) * (p - 1)
+    half = k // 2
+    # s = (-1)^(k(p-1)/4) at odd p and 0 at p = 2, where phi_k(2) = 2^(k-1)
+    sign = (p % 2) * (1 - 2 * (half % 2) * (p % 4 == 3))
+    return p ** (half - 1) * (p - 1) * (p**half - sign)
+
+
 def phi_k(k: int, f: int | Factorization) -> int:
     """Number of k-tuples over Z/nZ whose square sum is invertible."""
     if k < 1:

@@ -61,9 +61,11 @@ DEFAULT_GUARD = 10**8
 # entry per residue (8 MB each in int64 at this cap).
 _CENSUS_MODULUS_CAP = 1 << 20
 
-# Largest n^2 x (number of cyclic convolutions) the census kernel runs:
-# about 4 s of CPU (0.9 s was measured at n = 2^15, k = 2, which is 2^30).
-# Every census under the default tuple guard stays below it.
+# Largest n^2 x (number of cyclic convolutions) x (cost of an entry) the
+# census kernel runs: about 4 s of CPU. An int64 entry costs 1 (0.9 s at
+# n = 2^15, k = 2, which is 2^30); a Python-int entry costs 16 per 64-bit
+# word, since such steps measured 10-20 ns a word. Every census under the
+# default tuple guard is in int64 and stays below it.
 _CENSUS_WORK_CAP = 1 << 32
 
 # Largest count, in bits, that a closed form may build. -k reaches 2^63 - 1
@@ -127,12 +129,13 @@ def _power_census(k: int, n: int) -> np.ndarray:
     """The square census mod n raised to the k-th power, unguarded in k."""
     if n > _CENSUS_MODULUS_CAP:
         raise BudgetExceededError(n, _CENSUS_MODULUS_CAP, f"census at modulus {n}")
-    # one O(n^2) convolution per squaring and per further set bit of k
-    work = n * n * (k.bit_length() + bin(k).count("1") - 2)
-    if work > _CENSUS_WORK_CAP:
-        raise BudgetExceededError(work, _CENSUS_WORK_CAP, f"census work at modulus {n}, k = {k}")
     # every intermediate entry counts tuples, so it is at most n^k
     dtype = np.int64 if n**k < 2**63 else object
+    # one O(n^2) convolution per squaring and per further set bit of k
+    entry_cost = 1 if dtype is np.int64 else 16 * -(-k * n.bit_length() // 64)
+    work = n * n * (k.bit_length() + bin(k).count("1") - 2) * entry_cost
+    if work > _CENSUS_WORK_CAP:
+        raise BudgetExceededError(work, _CENSUS_WORK_CAP, f"census work at modulus {n}, k = {k}")
     squares = (np.arange(n, dtype=np.int64) ** 2) % n
     power = np.bincount(squares, minlength=n).astype(dtype)
     counts = None

@@ -87,19 +87,32 @@ class TestSieveWalk:
             assert g[n] == self.g_k_oracle(2, n), n
 
     def test_both_sides_of_the_int64_switch(self):
-        # 55108^4 < 2^63 <= 55109^4 and 6208^5 < 2^63 <= 6209^5
-        for k, limit in ((4, 55_108), (5, 6_208)):
+        # 55108^4, 6208^5, 1448^6 and 234^8 are the last powers below 2^63
+        def phi(k, n):
+            return phi_k_table(k, n)
+
+        def g(k, n):
+            return list(g_k_table(k, n).values)
+
+        cases = (
+            (phi, phi_k, 4, 55_108), (phi, phi_k, 5, 6_208), (phi, phi_k, 8, 234),
+            (g, self.g_k_oracle, 4, 55_108), (g, self.g_k_oracle, 6, 1_448), (g, self.g_k_oracle, 8, 234),
+        )
+        for table, oracle, k, limit in cases:
             assert limit**k < 2**63 <= (limit + 1) ** k
-            narrow = phi_k_table(k, limit)
-            wide = phi_k_table(k, limit + 1)
+            narrow = table(k, limit)
+            wide = table(k, limit + 1)
             assert wide[:-1] == narrow
             for n in self.sample(limit + 1):
-                assert wide[n] == phi_k(k, n), (k, n)
-        g_narrow = g_k_table(4, 55_108).values
-        g_wide = g_k_table(4, 55_109).values
-        assert g_wide[:-1] == g_narrow
-        for n in self.sample(55_109):
-            assert g_wide[n] == self.g_k_oracle(4, n), n
+                assert wide[n] == oracle(k, n), (table.__name__, k, n)
+
+    def test_prime_powers_past_int64(self):
+        # phi_6(2^11) = 2^65, and the walk reaches 61^2 = 3721 at k = 16 by
+        # the ratio 61^16 > 2^94: both only in Python ints
+        for k, ns in ((6, (1024, 2048, 4096)), (16, (3721, 4096))):
+            table = phi_k_table(k, 4096)
+            for n in ns:
+                assert table[n] == phi_k(k, n), (k, n)
 
     def test_passed_table(self, spf_100k):
         # a larger sieve is read as it is; a smaller one is replaced

@@ -3,19 +3,22 @@
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqtotient import BudgetExceededError, phi_k
-from sqtotient.core_arith import euler_phi
+from sqtotient.core_arith import euler_phi, primes_upto
 from sqtotient.phi import (
+    _phi_k_at_primes,
     phi_k_brute,
     phi_k_prime_power,
     phi_k_via_jordan,
     phi_k_via_rho,
     phi_ratio_check,
 )
+from sqtotient.rho import even_k_sign
 from conftest import naive_phi_k
 
 
@@ -92,6 +95,25 @@ class TestPrimePower:
         for p, r in ((3, 1), (3, 2), (5, 1), (7, 1), (2, 1), (2, 2), (2, 3)):
             for k in range(1, 4):
                 assert phi_k_prime_power(k, p, r) == naive_phi_k(k, p**r)
+
+    def test_array_form_at_primes(self):
+        # the array form serves the table walk in int64 (while p^k < 2^63)
+        # and in Python ints; g_k(p) = phi_k(p) - p^k is the convolution
+        # coefficient, written out here with its own sign
+        primes = primes_upto(1 << 12)
+        for k in range(1, 17):
+            for dtype in (np.int64, object):
+                ps = [p for p in primes if dtype is object or p**k < 2**63]
+                got = _phi_k_at_primes(k, np.array(ps, dtype=dtype))
+                assert got.dtype == dtype
+                assert got.tolist() == [phi_k_prime_power(k, p, 1) for p in ps], (k, dtype)
+                if k % 2 == 0:
+                    g = (got - np.array(ps, dtype=dtype) ** k).tolist()
+                    assert g == [
+                        -(2 ** (k - 1)) if p == 2
+                        else -(p ** (k - 1)) - even_k_sign(k, p) * p ** (k // 2 - 1) * (p - 1)
+                        for p in ps
+                    ], (k, dtype)
 
 
 class TestClosedForm:

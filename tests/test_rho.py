@@ -101,6 +101,16 @@ class TestCensusKernel:
         assert peak < 10**7
         assert time.process_time() - started < 0.5
 
+    def test_work_cap_weighs_python_int_entries(self):
+        # 256^2 x 19 convolutions of entries of 32000 x 9 bits (4500 words):
+        # 95 s of CPU while the cap counted convolutions only
+        started = time.process_time()
+        with pytest.raises(BudgetExceededError) as info:
+            rho_base_vector(32000, 256)
+        assert info.value.required == 256**2 * 19 * 16 * 4500
+        assert "census work at modulus 256, k = 32000" in str(info.value)
+        assert time.process_time() - started < 0.5
+
     @given(st.integers(min_value=1, max_value=20), st.integers(min_value=1, max_value=4))
     @settings(max_examples=60, deadline=None)
     def test_census_totals(self, n, k):
