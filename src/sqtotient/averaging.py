@@ -38,9 +38,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath as mp
-import numpy as np
-
 from .core_arith import (
     BudgetExceededError,
     SpfTable,
@@ -153,6 +150,8 @@ def _multiplicative_table(limit: int, k: int, table: SpfTable | None, at_primes,
     above. Slot 0 is a placeholder. A limit above the sieve cap is refused
     before anything is allocated.
     """
+    import numpy as np
+
     _check_sieve_limit(limit, "multiplicative table")
     dtype = np.int64 if limit**k < 2**63 else object
     values = np.zeros(limit + 1, dtype=dtype)
@@ -169,6 +168,8 @@ def _multiplicative_table(limit: int, k: int, table: SpfTable | None, at_primes,
 
 def _fill_chunk(values: np.ndarray, spf: np.ndarray, lo: int, hi: int, at_primes, ratios: np.ndarray) -> None:
     # values[lo:hi]; every entry below lo is already filled
+    import numpy as np
+
     p = spf[lo:hi]
     prime = p == np.arange(lo, hi)
     values[lo + np.flatnonzero(prime)] = at_primes(p[prime].astype(values.dtype))
@@ -394,6 +395,8 @@ def _assemble(k: int, family: _Family, tol: float, prime_bound: int | None) -> E
     reported bound adds only an allowance of ten units in the last working
     digit for rounding.
     """
+    import mpmath as mp
+
     dps = _working_dps(tol)
     p_bound = _DEFAULT_PRIME_BOUND if prime_bound is None else prime_bound
     _check_sieve_limit(p_bound, "Euler-product prime")
@@ -454,6 +457,8 @@ def euler_constant(k: int, tol: float = 1e-9, prime_bound: int | None = None) ->
     to 64 multiplied explicitly; ``prime_bound`` moves that cut and ``tol``
     still sets the rest.
     """
+    import mpmath as mp
+
     if k < 1:
         raise ValueError(f"tuple length must be >= 1, got {k}")
     if k % 2 == 1:
@@ -531,6 +536,8 @@ def averaging_report(
     error, and the error divided by x^k R_k(x). The report only measures;
     nothing here asserts a bound.
     """
+    import mpmath as mp
+
     if not xs:
         raise ValueError("need at least one range end")
     if any(x < 3 for x in xs):
@@ -572,6 +579,8 @@ def minimal_order_scan(
     is accepted only with ``experimental=True``: the scan then just emits
     data, since no limit is asserted for it.
     """
+    import mpmath as mp
+
     if k < 1:
         raise ValueError(f"tuple length must be >= 1, got {k}")
     if k % 2 == 0 and not experimental:

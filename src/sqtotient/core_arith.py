@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-import numpy as np
-
 __all__ = [
     "BudgetExceededError",
     "Factorization",
@@ -108,6 +106,8 @@ class SpfTable:
 
 def build_spf(limit: int) -> SpfTable:
     """Sieve smallest prime factors for all integers up to ``limit``."""
+    import numpy as np
+
     if limit < 2:
         raise ValueError(f"build_spf requires limit >= 2, got {limit}")
     _check_sieve_limit(limit, "build_spf")
@@ -268,6 +268,8 @@ def divisor_count(f: int | Factorization) -> int:
 
 def primes_upto(limit: int) -> list[int]:
     """All primes <= limit, ascending."""
+    import numpy as np
+
     if limit < 2:
         return []
     composite = np.zeros(limit + 1, dtype=bool)

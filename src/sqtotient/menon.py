@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-import numpy as np
-
 from .core_arith import (
     BudgetExceededError,
     Factorization,
@@ -88,6 +86,8 @@ def menon_classic(n: int) -> tuple[int, int]:
     made by writing each divisor d of n, ascending, at the multiples of d.
     The divisors come by trial, not factorize, to keep the sides independent.
     """
+    import numpy as np
+
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
     _check_sieve_limit(n, "menon_classic")

@@ -19,8 +19,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, prod
 
-import numpy as np
-
 from .core_arith import Factorization, as_factorization, euler_phi, jordan_totient
 from .rho import DEFAULT_GUARD, _check_output_bits, _local_count, even_k_sign, sum_of_squares_census
 
@@ -36,6 +34,8 @@ __all__ = [
 
 def phi_k_brute(k: int, n: int, guard: int = DEFAULT_GUARD) -> int:
     """Count of tuples whose square sum is a unit mod n, from the census."""
+    import numpy as np
+
     census = sum_of_squares_census(k, n, guard)
     units = np.array([gcd(r, n) == 1 for r in range(n)])
     return int(census[units].sum())

@@ -15,8 +15,6 @@ import json
 from datetime import datetime, timezone
 from fractions import Fraction
 
-import mpmath as mp
-
 __all__ = ["render"]
 
 FORMATS = ("plain", "json", "csv")
@@ -31,7 +29,9 @@ def _cell(value) -> str:
         return str(value)  # "a/b", or "a" when integral
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, mp.mpf):
+    if hasattr(value, "_mpf_"):  # an mpmath real, so mpmath is loaded already
+        import mpmath as mp
+
         return mp.nstr(value, 17)
     return str(value)
 
@@ -41,7 +41,7 @@ def _json_value(value):
         return value
     if isinstance(value, float):
         return value
-    if isinstance(value, mp.mpf):
+    if hasattr(value, "_mpf_"):  # an mpmath real
         return float(value)
     return _cell(value)
 

@@ -36,8 +36,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .core_arith import BudgetExceededError, as_factorization, is_prime
 
 __all__ = [
@@ -127,6 +125,8 @@ def sum_of_squares_census(k: int, n: int, guard: int = DEFAULT_GUARD) -> np.ndar
 
 def _power_census(k: int, n: int) -> np.ndarray:
     """The square census mod n raised to the k-th power, unguarded in k."""
+    import numpy as np
+
     if n > _CENSUS_MODULUS_CAP:
         raise BudgetExceededError(n, _CENSUS_MODULUS_CAP, f"census at modulus {n}")
     # every intermediate entry counts tuples, so it is at most n^k
@@ -150,6 +150,8 @@ def _power_census(k: int, n: int) -> np.ndarray:
 
 def _cyclic_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact convolution of two residue vectors modulo their common length."""
+    import numpy as np
+
     n = len(a)
     full = np.convolve(a, b)
     folded = full[:n].copy()

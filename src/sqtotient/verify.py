@@ -4,9 +4,10 @@ Each check is a generator over a bounded range of cases. It yields one
 outcome per case: None when the case holds, a counterexample string when
 it fails, or ``_SKIPPED`` when the enumeration guard refuses the oracle.
 One runner counts the outcomes, stops at the first counterexample, and
-reports either it or "<coverage>: N cases checked, M skipped by the
-guard". Suites whose work grows with the limit refuse a limit above a
-fixed cap before doing any work. These back the CLI ``verify``
+reports either it or "<coverage>: N cases checked", followed, for a check
+that consults a guard, by ", M skipped by the guard of G tuples" with the
+guard G it applied. Suites whose work grows with the limit refuse a limit
+above a fixed cap before doing any work. These back the CLI ``verify``
 subcommand and the acceptance tests.
 """
 
@@ -55,8 +56,11 @@ class SuiteResult:
 _SKIPPED = object()
 
 
-def _run(name: str, coverage: str, outcomes) -> Check:
-    """Count the outcomes of one check; the first counterexample ends it."""
+def _run(name: str, coverage: str, outcomes, guard: int | None = None) -> Check:
+    """Count the outcomes of one check; the first counterexample ends it.
+
+    ``guard`` is the tuple guard the check applied, if it consults one.
+    """
     checked = skipped = 0
     for outcome in outcomes:
         if outcome is None:
@@ -65,9 +69,10 @@ def _run(name: str, coverage: str, outcomes) -> Check:
             skipped += 1
         else:
             return Check(name=name, ok=False, detail=f"first counterexample: {outcome}")
-    return Check(
-        name=name, ok=True, detail=f"{coverage}: {checked} cases checked, {skipped} skipped by the guard"
-    )
+    detail = f"{coverage}: {checked} cases checked"
+    if guard is not None:
+        detail += f", {skipped} skipped by the guard of {guard} tuples"
+    return Check(name=name, ok=True, detail=detail)
 
 
 def _guarded(moduli, k_max: int, guard: int):
@@ -170,32 +175,39 @@ def _rho(limit: int, guard: int) -> list[Check]:
     n_max, general, pairs = min(limit, 64), min(limit, 100), min(limit, 24)
     # the three formula checks read one table of residue counts per (k, n)
     formulas = lru_cache(maxsize=None)(_residue_counts)
+    # the checks over general moduli enumerate at most 10^6 tuples per census
+    wide_guard = min(guard, 10**6)
     return [
         _run(
             "closed forms at moduli 2, 4, 8",
             "k <= 32, all odd residues; census cross-check",
             _closed_forms(guard),
+            guard,
         ),
         _run("census totals n^k", f"n <= {n_max}, k <= 8", _census_totals(n_max)),
         _run(
             "prime-power formula vs enumeration",
             f"odd prime powers <= {odd_bound}, powers of two <= {two_bound}, every residue, k <= 6",
             _formula_vs_census(sorted(prime_powers), guard, formulas),
+            guard,
         ),
         _run(
             "general-modulus formula vs enumeration",
             f"n <= {general}, every residue, k <= 6",
-            _formula_vs_census(range(1, general + 1), min(guard, 10**6), formulas),
+            _formula_vs_census(range(1, general + 1), wide_guard, formulas),
+            wide_guard,
         ),
         _run(
             "residue-count multiplicativity",
             f"coprime pairs <= {pairs}, every residue, k <= 5",
-            _multiplicativity(pairs, min(guard, 10**6), formulas),
+            _multiplicativity(pairs, wide_guard, formulas),
+            wide_guard,
         ),
         _run(
             "prime-power lifting steps",
             "p in (3, 5) s <= 3 and p = 2 s in (3, 4), k <= 3",
             _lifting_steps(guard),
+            guard,
         ),
     ]
 
@@ -213,7 +225,7 @@ def _three_routes(limit: int, guard: int):
 
 
 def _phi(limit: int, guard: int) -> list[Check]:
-    return [_run("three-route agreement", f"n <= {limit}, k <= 4", _three_routes(limit, guard))]
+    return [_run("three-route agreement", f"n <= {limit}, k <= 4", _three_routes(limit, guard), guard)]
 
 
 # The identity checks read phi_k(n) from sieve tables as t[k][n], indexed in

@@ -69,7 +69,7 @@ def test_criterion_02_rho_formula_vs_oracle_prime_powers():
     _conclude(
         2,
         "rho formula = enumeration on prime powers (odd <= 729, two-power <= 256), plus the 2/8/24 anchors",
-        check.ok and check.detail.endswith("477 cases checked, 429 skipped by the guard") and trio,
+        check.ok and check.detail.endswith(f"477 cases checked, 429 skipped by the guard of {GUARD} tuples") and trio,
         started,
         check.detail,
     )

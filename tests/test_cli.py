@@ -3,14 +3,19 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import click
 import pytest
 from click.testing import CliRunner
 
-from sqtotient.cli import INT64_MAX, main
+import sqtotient
+from sqtotient.cli import INT64_MAX, MAX_RANGE_OUTPUT, _check_range_output, main
 from sqtotient.rho import trig_closed_form_rho8
 
 
@@ -62,6 +67,21 @@ class TestPhiCommand:
     def test_rejects_out_of_range_inputs(self, runner):
         assert run(runner, "phi", "-k", "0", "-n", "5").exit_code == 2
         assert run(runner, "phi", "-k", "1", "-n", str(2**63)).exit_code == 2
+
+    def test_range_output_budget(self, runner):
+        # 456,522 rows at k = 8 measured 719 MB of peak RSS in JSON; one more is refused
+        _check_range_output(8, 456522)
+        tracemalloc.start()
+        try:
+            result = run(runner, "phi", "-k", "8", "--range", "456523", "--format", "json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 3
+        assert f"phi --range output (x (k log2 x + 1024)) needs a budget of {456523 * (8 * 19 + 1024)}" in result.output
+        assert f"over the limit of {MAX_RANGE_OUTPUT}" in result.output
+        assert "Traceback" not in result.output
+        assert peak < 10**7
 
     def test_sieve_size_guard(self, runner):
         # a sieve table at 3 * 10^8 would take 2.4 GB per array
@@ -155,7 +175,20 @@ class TestVerifyCommand:
         detail = details["prime-power formula vs enumeration"]
         # moduli 2, 3, 4, 5, 7, 8, 9 at k <= 6; 4^5, 5^5, 7^4, 8^4, 9^4 and
         # every higher power pass the 1000-tuple guard
-        assert detail.endswith("29 cases checked, 13 skipped by the guard")
+        assert detail.endswith("29 cases checked, 13 skipped by the guard of 1000 tuples")
+
+    def test_detail_names_the_guard_applied(self, runner):
+        # the checks over general moduli cap the guard at 10^6 tuples
+        result = run(
+            runner, "verify", "rho", "--limit", "50", "--max-enum", str(INT64_MAX), "--format", "json", "--no-meta"
+        )
+        assert result.exit_code == 0
+        details = {row["check"]: row["detail"] for row in json.loads(result.output)["rows"]}
+        assert details["general-modulus formula vs enumeration"].endswith(
+            "206 cases checked, 94 skipped by the guard of 1000000 tuples"
+        )
+        assert details["residue-count multiplicativity"].endswith("skipped by the guard of 1000000 tuples")
+        assert details["prime-power formula vs enumeration"].endswith(f"0 skipped by the guard of {INT64_MAX} tuples")
 
     @pytest.mark.parametrize("suite, cap", [("phi", 2**10), ("menon-classic", 2**14), ("convolution", 2**20)])
     def test_limit_cap_exit_code(self, runner, suite, cap):
@@ -350,3 +383,31 @@ class TestOutputContract:
         missing_dir = tmp_path / "absent" / "report.csv"
         result = run(runner, "phi", "-k", "1", "-n", "3", "--out", str(missing_dir))
         assert result.exit_code == 1
+
+
+class TestImportContract:
+    """numpy and mpmath load only in the commands that compute with them."""
+
+    @pytest.mark.parametrize(
+        "args, numpy, mpmath",
+        [
+            (None, False, False),
+            (["phi", "-k", "4", "-n", "1134493417"], False, False),
+            (["rho", "-k", "3", "-l", "2", "-n", "45"], False, False),
+            (["phi", "-k", "1", "--range", "10"], True, False),
+            (["report", "constants", "-k", "2"], True, True),
+        ],
+        ids=["import", "phi -n", "rho odd n", "phi --range", "report constants"],
+    )
+    def test_libraries_loaded(self, args, numpy, mpmath):
+        # a fresh interpreter, since this one has loaded both already
+        script = "import sys\nimport sqtotient\n"
+        if args is not None:
+            script += f"from sqtotient.cli import main\nmain({args!r}, standalone_mode=False)\n"
+        script += "print('numpy' in sys.modules, 'mpmath' in sys.modules)\n"
+        src = str(Path(sqtotient.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout.splitlines()[-1] == f"{numpy} {mpmath}"
