@@ -4,16 +4,25 @@ The classical identity sums gcd(j - 1, n) over the units j of Z/nZ and
 equals phi(n) d(n). Its square-sum analogue sums gcd(x_1^2+...+x_k^2 - 1, n)
 over tuples whose square sum is a unit; dividing by phi_k(n) yields a
 cofactor psi_k. Both the sum and phi_k split over the prime powers of n
-(Chinese remainder theorem), so psi_k is multiplicative. Its integrality
-is open (the data show integers at k = 2 and 4, fractions at k = 3, 5, 6),
-so the scans emit it as an exact rational (k = 1 reduces to the classical
+(Chinese remainder theorem), so psi_k is multiplicative.
+
+At an odd prime power psi_k has a closed form. A unit count
+rho(k, lam, p^e) depends only on the Legendre symbol of lam, and over the
+units gcd(lam - 1, p^e) sums to (e + 1) phi(p^e) (Menon) and, weighted by
+that symbol, to e phi(p^e). So psi_k(p^e) = e + 1 for even k, and
+1 + e (1 + eps p^(-(k-1)/2)) for odd k with eps = (-1)^((p-1)(k-1)/4):
+an integer at every odd p^e for even k and for k = 1, and for odd k >= 3
+only when p^((k-1)/2) divides e. At p = 2 integrality is still data (the
+tables show integers at k = 2 and 4, a fraction at n = 4 for k = 6), so
+the scans emit psi_k as an exact rational (k = 1 reduces to the classical
 j^2 - 1 cofactor).
 
-The tuple sum is never enumerated directly on the main path: grouping
-tuples by their square sum lambda turns the n^k-term sum into
-sum over units lambda of rho(k, lambda, n) * gcd(lambda - 1, n), and both
-factors of each term split over the prime powers p^e of n, so the sum is
-the product over p^e of the same sum taken modulo p^e.
+The tuple sum is never enumerated on the main path: grouping tuples by
+their square sum lambda turns the n^k-term sum into the sum over units
+lambda of rho(k, lambda, n) * gcd(lambda - 1, n), which is the product over
+the prime powers p^e of n of the same sum taken modulo p^e. Each such block
+is a closed form in the two unit counts mod p (odd p) or the four mod 8
+(p = 2).
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from .core_arith import (
     factorize,
 )
 from .phi import phi_k
-from .rho import DEFAULT_GUARD, _check_output_bits, _local_count, sum_of_squares_census
+from .rho import DEFAULT_GUARD, _check_output_bits, _local_count, _prime_count, rho_base_vector, sum_of_squares_census
 
 __all__ = [
     "MenonRow",
@@ -45,13 +54,14 @@ __all__ = [
 ]
 
 # Largest bound^2 x max(k, 64)^1.5 / 8 that psi_table (bound n_max) and
-# psi_multiplicativity_scan run. Both cost one _menon_lhs per modulus, a sum
-# over every unit of each prime-power block, so their work grows about
-# quadratically with the bound; each term works on integers of about
-# k log2(n) bits, and the cost per bound^2 was measured to grow about as
-# k^1.5 at large k. For k <= 64 the weight is 64 and the bound goes up to
-# 2^12 (about 5 s of CPU at k = 64 on a 2-vCPU VM); at the cap for k from
-# 128 to 65536, 1-3 s.
+# psi_multiplicativity_scan run. The weight was fitted when each modulus
+# cost a sum over every unit of its prime-power blocks; each now costs one
+# closed form per prime power, on integers of about k log2(n) bits. For
+# k <= 64 the bound goes up to 2^12: report menon there takes 0.2-0.25 s
+# of CPU on a 2-vCPU VM (5.1 s at k = 64 with the per-unit sums), and
+# report menon-mult -k 3 0.31 s. At the cap for k from 128 to 1000 it
+# takes about 0.3 s; at k = 65536 (bound 22), 3.5 s, spent on the integers
+# of about 300,000 bits.
 _MAX_SCAN_WORK = 1 << 30
 
 
@@ -102,8 +112,8 @@ def menon_classic(n: int) -> tuple[int, int]:
 def menon_lhs(k: int, n: int) -> int:
     """Gcd-sum over tuples with invertible square sum, via residue classes.
 
-    Factors n once and costs one rho evaluation per unit of each prime-power
-    block p^e instead of n^k tuples, so no enumeration guard is involved.
+    Factors n once and takes one closed-form block per prime power p^e
+    instead of n^k tuples, so no enumeration guard is involved.
     """
     if k < 1:
         raise ValueError(f"tuple length must be >= 1, got {k}")
@@ -116,11 +126,34 @@ def _menon_lhs(k: int, f: Factorization) -> int:
     _check_output_bits(k, f.factors, "menon_lhs")
     result = 1
     for p, e in f.factors:
-        q = p**e
-        result *= sum(
-            _local_count(k, lam, p, e) * gcd(lam - 1, q) for lam in range(1, q) if lam % p
-        )
+        result *= _menon_block(k, p, e)
     return result
+
+
+def _menon_block(k: int, p: int, e: int) -> int:
+    """Sum over units lam mod p^e of rho(k, lam, p^e) gcd(lam - 1, p^e).
+
+    From p (odd p) or 8 (p = 2) on, a unit count gains p^(k-1) per extra
+    power of p, so it depends on lam mod p or mod 8 only.
+    """
+    if p == 2:
+        if e < 3:
+            return sum(_local_count(k, lam, 2, e) * gcd(lam - 1, 1 << e) for lam in range(1, 1 << e, 2))
+        # lam = r + 8 mu over mu mod 2^j: r = 1 gives gcd 8 gcd(mu, 2^j),
+        # which sums to 8 P(2^j) = 8 (j + 2) 2^(j-1) (Pillai's gcd-sum),
+        # and r = 3, 5, 7 give gcd 2, 4, 2 for each of the 2^j values of mu
+        j = e - 3
+        at8 = rho_base_vector(k, 8).counts
+        block = 8 * ((j + 2) << j >> 1) * at8[1] + ((2 * at8[3] + 4 * at8[5] + 2 * at8[7]) << j)
+        return block << j * (k - 1)
+    # over the units, gcd(lam - 1, p^e) sums to (e + 1) phi(p^e) (Menon), and
+    # weighted by the Legendre symbol of lam to e phi(p^e); so the block is
+    # p^((e-1)(k-1)) phi(p^e) / 2 ((2e + 1) rho_+ + rho_-) with rho_+ and
+    # rho_- the counts mod p at a quadratic residue and a non-residue
+    nonresidue = next(a for a in range(2, p) if pow(a, p // 2, p) != 1)
+    residue_count, nonresidue_count = _prime_count(k, 1, p), _prime_count(k, nonresidue, p)
+    phi_half = (p - 1) // 2 * p ** (e - 1)
+    return p ** ((e - 1) * (k - 1)) * phi_half * ((2 * e + 1) * residue_count + nonresidue_count)
 
 
 def menon_lhs_brute(k: int, n: int, guard: int = DEFAULT_GUARD) -> int:

@@ -14,10 +14,14 @@ one local count serves every residue class:
 
 At an odd prime the count is p^(k-1) plus a signed power of p picked by the
 parity of k and the quadratic character of lam (Euler criterion), lam = 0
-included. The moduli 2, 4, 8 are read from the residue vector: the census
-of squares mod n raised to the k-th power under cyclic convolution, by
-repeated squaring in exact integers. For lam a unit mod n no descent step
-is taken, and the count is the paper's closed form.
+included. The moduli 2, 4, 8 are read from the residue vector, which there
+comes from Gauss sums: with S(t) the sum of zeta_8^(t x^2) over x mod 8,
+8 rho(k, lam, 8) is the sum over t mod 8 of S(t)^k zeta_8^(-t lam), and
+S(t) is 8, 4 + 4i, 0, 4 - 4i at t = 0, 2, 4, 6 and 4 zeta_8^t at odd t.
+(1 + i)^2 = 2i makes every term a signed power of two, so the counts are
+exact integer arithmetic; those mod 4 and mod 2 follow by folding, since
+x^2 mod 8 depends on x mod 4 only. For lam a unit mod n no descent step is
+taken, and the count is the paper's closed form.
 
 The classical trigonometric closed forms for moduli 2, 4, 8 are also
 implemented, in exact Z[sqrt(2)] arithmetic (every sine and cosine that
@@ -25,9 +29,11 @@ appears is 0, +/-1 or +/-sqrt(2)/2, and the irrational parts cancel); they
 serve as a cross-check against the residue vector, never as the primary
 path.
 
-The residue census over all n^k tuples (``sum_of_squares_census``,
-``rho_brute``) stays as the guarded oracle that the tier-1 tests check
-against literal enumeration; ``rho`` never reads it.
+The census kernel raises the census of squares mod n to the k-th power
+under cyclic convolution, by repeated squaring in exact integers. It gives
+the residue vector at every other modulus, and it is the guarded oracle
+(``sum_of_squares_census``, ``rho_brute``) that the tier-1 tests check
+against literal enumeration; ``rho`` never reaches it.
 """
 
 from __future__ import annotations
@@ -202,20 +208,46 @@ def rho_odd_prime(k: int, lam: int, p: int) -> int:
     return _prime_count(k, lam, p)
 
 
+def _two_adic_counts(k: int) -> list[int]:
+    """[rho(k, lam, 8) for lam mod 8], from the Gauss sums mod 8.
+
+    8 rho = 8^k + 2 Re((4 + 4i)^k i^(-lam)) + 4^(k+1) c, where c is 1 when
+    k = lam, -1 when k = lam + 4, and 0 otherwise (mod 8). Since
+    (4 + 4i)^k = 2^(2k + k // 2) i^(k // 2) (1 + i)^(k % 2), each term is a
+    signed power of two.
+    """
+    # Re(i^m (1 + i)^(k % 2)) by m mod 4
+    real = (1, -1, -1, 1) if k % 2 else (1, 0, -1, 0)
+    return [
+        ((1 << 3 * k) + (real[(k // 2 - lam) % 4] << 2 * k + k // 2 + 1)
+         + ((1, 0, 0, 0, -1, 0, 0, 0)[(k - lam) % 8] << 2 * k + 2)) >> 3
+        for lam in range(8)
+    ]
+
+
 @lru_cache(maxsize=4096)
 def rho_base_vector(k: int, n: int) -> ResidueVector:
-    """All residue-class counts at once, from the census kernel.
+    """All residue-class counts at once.
 
-    Unlike ``sum_of_squares_census`` it has no n^k guard: k is bounded only
-    by the output bit length, so deep k at the base moduli 2, 4, 8 stays
-    cheap (O(n^2 log k) big-int operations).
+    At n = 2, 4, 8 they come from the Gauss sums mod 8 in exact integers,
+    folded down to 4 and 2; at every other n, from the census kernel
+    (O(n^2 log k) big-int operations). Unlike ``sum_of_squares_census``
+    there is no n^k guard: k is bounded only by the output bit length.
     """
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
     if k < 1:
         raise ValueError(f"tuple length must be >= 1, got {k}")
     _check_output_bits(k, ((n, 1),), "rho_base_vector")
-    return ResidueVector(n=n, k=k, counts=tuple(int(c) for c in _power_census(k, n)))
+    if n not in (2, 4, 8):
+        return ResidueVector(n=n, k=k, counts=tuple(int(c) for c in _power_census(k, n)))
+    counts = _two_adic_counts(k)
+    while len(counts) > n:
+        # x^2 mod 2m depends on x mod m only: the classes lam and lam + m
+        # merge, and each tuple mod m has 2^k lifts mod 2m
+        m = len(counts) // 2
+        counts = [(counts[lam] + counts[lam + m]) >> k for lam in range(m)]
+    return ResidueVector(n=n, k=k, counts=tuple(counts))
 
 
 def _local_count(k: int, lam: int, p: int, e: int) -> int:

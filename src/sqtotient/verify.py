@@ -24,6 +24,7 @@ from .menon import menon_classic
 from .phi import phi_k, phi_k_brute, phi_k_via_rho, phi_ratio_check, phi_k_via_jordan
 from .rho import (
     DEFAULT_GUARD,
+    _power_census,
     closed_form_rho2,
     closed_form_rho4,
     rho,
@@ -92,19 +93,20 @@ _CLOSED_FORMS = {
 }
 
 
-def _closed_forms(guard: int):
-    # every k is checked against the residue vector; a case is a census cross-check
+def _closed_forms():
+    # three routes per (modulus, k): the Gauss-sum residue vector, the trig
+    # closed forms, and the census kernel, which has no tuple guard
     for modulus in (2, 4, 8):
         for k in range(1, 33):
             vector = rho_base_vector(k, modulus).counts
-            census = sum_of_squares_census(k, modulus, guard) if modulus**k <= guard else None
+            kernel = _power_census(k, modulus)
             for lam in range(1, modulus, 2):
                 closed = _CLOSED_FORMS[modulus](k, lam)
                 if closed != vector[lam]:
                     yield f"k={k} lam={lam} mod {modulus}: closed {closed} != residue vector {vector[lam]}"
-                if census is not None and closed != int(census[lam]):
-                    yield f"k={k} lam={lam} mod {modulus}: closed {closed} != census {int(census[lam])}"
-            yield _SKIPPED if census is None else None
+                if closed != int(kernel[lam]):
+                    yield f"k={k} lam={lam} mod {modulus}: closed {closed} != kernel {int(kernel[lam])}"
+            yield None
 
 
 def _census_totals(n_max: int):
@@ -180,9 +182,8 @@ def _rho(limit: int, guard: int) -> list[Check]:
     return [
         _run(
             "closed forms at moduli 2, 4, 8",
-            "k <= 32, all odd residues; census cross-check",
-            _closed_forms(guard),
-            guard,
+            "k <= 32, all odd residues; Gauss sums, trig forms and census kernel",
+            _closed_forms(),
         ),
         _run("census totals n^k", f"n <= {n_max}, k <= 8", _census_totals(n_max)),
         _run(

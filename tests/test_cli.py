@@ -394,10 +394,12 @@ class TestImportContract:
             (None, False, False),
             (["phi", "-k", "4", "-n", "1134493417"], False, False),
             (["rho", "-k", "3", "-l", "2", "-n", "45"], False, False),
+            (["rho", "-k", "3", "-l", "4", "-n", "20"], False, False),
+            (["report", "menon", "-k", "2", "--nmax", "100"], False, False),
             (["phi", "-k", "1", "--range", "10"], True, False),
             (["report", "constants", "-k", "2"], True, True),
         ],
-        ids=["import", "phi -n", "rho odd n", "phi --range", "report constants"],
+        ids=["import", "phi -n", "rho odd n", "rho even n", "report menon", "phi --range", "report constants"],
     )
     def test_libraries_loaded(self, args, numpy, mpmath):
         # a fresh interpreter, since this one has loaded both already

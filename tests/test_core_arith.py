@@ -72,6 +72,11 @@ class TestFactorize:
             f = factorize(n)
             assert math.prod(p**e for p, e in f.factors) == n
 
+    def test_matches_sympy_exhaustive_below_2_16(self):
+        # trial division over the primes below 1000 stops once d^2 > cofactor
+        for n in range(1, 1 << 16):
+            assert dict(factorize(n).factors) == factorint(n), n
+
     def test_rho_splitting_beyond_trial_division(self):
         # both primes are far above the trial-division bound of 1000, so the
         # composite cofactor fails Miller-Rabin and Brent's rho splits it

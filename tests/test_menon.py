@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from sympy import primerange
 
 from sqtotient import (
     BudgetExceededError,
@@ -13,6 +14,7 @@ from sqtotient import (
     phi_k,
     psi_multiplicativity_scan,
     psi_table,
+    rho,
 )
 from sqtotient.core_arith import divisor_count, euler_phi
 from sqtotient.menon import _check_scan_work, menon_lhs_brute
@@ -71,6 +73,29 @@ class TestTupleGcdSum:
             menon_lhs(2**63 - 1, 3)
         with pytest.raises(BudgetExceededError):
             psi_table(2**63 - 1, 3)
+
+    def test_closed_form_block_equals_the_residue_sum(self):
+        # one prime-power block, summed here literally over its units
+        for k in (*range(1, 17), 31, 64, 100, 257):
+            for p in primerange(2, 44):
+                q = p
+                while q <= 1500:
+                    literal = sum(rho(k, lam, q) * gcd(lam - 1, q) for lam in range(1, q) if lam % p)
+                    assert menon_lhs(k, q) == literal, (k, q)
+                    q *= p
+
+    def test_odd_prime_power_cofactor(self):
+        # psi_k(p^e) = e + 1 for even k, 1 + e (1 + eps p^(-(k-1)/2)) for odd
+        # k, with eps = (-1)^((p-1)(k-1)/4)
+        for k in range(1, 10):
+            for p in (3, 5, 7, 11, 13):
+                for e in range(1, 5):
+                    psi = Fraction(menon_lhs(k, p**e), phi_k(k, p**e))
+                    if k % 2 == 0:
+                        assert psi == e + 1, (k, p, e)
+                    else:
+                        eps = -1 if (p - 1) * (k - 1) // 4 % 2 else 1
+                        assert psi == 1 + e * (1 + Fraction(eps, p ** ((k - 1) // 2))), (k, p, e)
 
     def test_first_order_reduces_to_square_gcd_sum(self):
         for n in range(1, 200):

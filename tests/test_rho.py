@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sqtotient import BudgetExceededError, rho, rho_base_vector, sum_of_squares_census
-from sqtotient.menon import menon_lhs_brute
+from sqtotient.menon import menon_lhs, menon_lhs_brute, psi_table
 from sqtotient.phi import phi_k_brute
 from sqtotient.rho import (
     DEFAULT_GUARD,
@@ -216,6 +216,13 @@ class TestBaseVector:
             for k in (1, 2, 4, 8):
                 assert sum(rho_base_vector(k, n).counts) == n**k
 
+    def test_gauss_sums_equal_the_census_kernel(self):
+        # at 2, 4, 8 the vector comes from Gauss sums; the kernel stays the oracle
+        kernel = sys.modules["sqtotient.rho"]._power_census
+        for n in (2, 4, 8):
+            for k in (*range(1, 400), 3000):
+                assert rho_base_vector(k, n).counts == tuple(int(c) for c in kernel(k, n)), (k, n)
+
     def test_mod4_spectrum_powers(self):
         # convolution theorem: the DFT of the k-fold cyclic convolution is the
         # k-th power of the DFT of the square census (2, 2, 0, 0), whose
@@ -324,6 +331,23 @@ class TestCombined:
         monkeypatch.setattr(rho_module, "sum_of_squares_census", refuse)
         for (k, n), counts in expected.items():
             assert tuple(rho_module.rho(k, lam, n) for lam in range(n)) == counts, (k, n)
+
+    def test_never_runs_the_census_kernel(self, monkeypatch):
+        rho_module = sys.modules["sqtotient.rho"]
+        expected = {(k, n): rho_module.rho_base_vector(k, n).counts for n in (2, 4, 8) for k in (1, 2, 3, 7, 64)}
+        lhs = {(k, n): menon_lhs(k, n) for n in (8, 16, 24, 96, 100) for k in (1, 2, 3, 7, 64)}
+        table = [(row.n, row.psi) for row in psi_table(3, 48)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("reached the census kernel")
+
+        monkeypatch.setattr(rho_module, "_power_census", refuse)
+        rho_module.rho_base_vector.cache_clear()
+        for (k, n), counts in expected.items():
+            assert tuple(rho_module.rho(k, lam, n) for lam in range(n)) == counts, (k, n)
+            assert rho_module.rho(k, 1, 3 * n) == rho_module.rho(k, 1, 3) * counts[1], (k, n)
+        assert {(k, n): menon_lhs(k, n) for k, n in lhs} == lhs
+        assert [(row.n, row.psi) for row in psi_table(3, 48)] == table
 
     def test_output_size_guard(self):
         # refused from the exponents alone, before any power is built
