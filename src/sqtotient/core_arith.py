@@ -9,6 +9,7 @@ Brent-style rho splitting for anything larger.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd, isqrt
 
 __all__ = [
@@ -272,13 +273,13 @@ def divisor_count(f: int | Factorization) -> int:
 
 
 def primes_upto(limit: int) -> list[int]:
-    """All primes <= limit, ascending."""
-    import numpy as np
-
+    """All primes <= limit, ascending; limits above 2^24 are refused."""
+    _check_sieve_limit(limit, "primes_upto")
     if limit < 2:
         return []
-    composite = np.zeros(limit + 1, dtype=bool)
+    prime = bytearray([1]) * (limit + 1)
+    prime[:2] = b"\0\0"
     for p in range(2, isqrt(limit) + 1):
-        if not composite[p]:
-            composite[p * p :: p] = True
-    return (np.flatnonzero(~composite[2:]) + 2).tolist()
+        if prime[p]:
+            prime[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return list(compress(range(limit + 1), prime))

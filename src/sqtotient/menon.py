@@ -164,7 +164,7 @@ def menon_lhs_brute(k: int, n: int, guard: int = DEFAULT_GUARD) -> int:
         return 1
     census = sum_of_squares_census(k, n, guard)
     return sum(
-        int(census[lam]) * gcd(lam - 1, n)
+        census[lam] * gcd(lam - 1, n)
         for lam in range(n)
         if gcd(lam, n) == 1
     )

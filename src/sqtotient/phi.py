@@ -34,11 +34,8 @@ __all__ = [
 
 def phi_k_brute(k: int, n: int, guard: int = DEFAULT_GUARD) -> int:
     """Count of tuples whose square sum is a unit mod n, from the census."""
-    import numpy as np
-
     census = sum_of_squares_census(k, n, guard)
-    units = np.array([gcd(r, n) == 1 for r in range(n)])
-    return int(census[units].sum())
+    return sum(c for r, c in enumerate(census) if gcd(r, n) == 1)
 
 
 def phi_k_via_rho(k: int, n: int) -> int:

@@ -30,17 +30,23 @@ serve as a cross-check against the residue vector, never as the primary
 path.
 
 The census kernel raises the census of squares mod n to the k-th power
-under cyclic convolution, by repeated squaring in exact integers. It gives
-the residue vector at every other modulus, and it is the guarded oracle
+under cyclic convolution, by repeated squaring. Each convolution is one
+product of Python ints, into which the vectors are packed at a fixed
+slot width per residue (Kronecker substitution), and the census is a
+tuple of ints at every n and k. It gives the residue vector at
+every other modulus, and it is the guarded oracle
 (``sum_of_squares_census``, ``rho_brute``) that the tier-1 tests check
 against literal enumeration; ``rho`` never reaches it.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import log2
 
 from .core_arith import BudgetExceededError, as_factorization, is_prime
 
@@ -61,16 +67,17 @@ __all__ = [
 # Default ceiling on n^k, the number of tuples a census may count.
 DEFAULT_GUARD = 10**8
 
-# Largest modulus the census kernel takes: it holds a few arrays of one
-# entry per residue (8 MB each in int64 at this cap).
+# Largest modulus the census kernel takes: it holds a few integers of at
+# least one 64-bit word per residue (8 MB per word at this cap).
 _CENSUS_MODULUS_CAP = 1 << 20
 
-# Largest n^2 x (number of cyclic convolutions) x (cost of an entry) the
-# census kernel runs: about 4 s of CPU. An int64 entry costs 1 (0.9 s at
-# n = 2^15, k = 2, which is 2^30); a Python-int entry costs 16 per 64-bit
-# word, since such steps measured 10-20 ns a word. Every census under the
-# default tuple guard is in int64 and stays below it.
-_CENSUS_WORK_CAP = 1 << 32
+# The census kernel's cost is its number of integer products times
+# W^log2(3), W the 64-bit words of each factor (CPython multiplies by
+# Karatsuba). A product measured 0.8e-8 to 2.6e-8 s x W^log2(3) of CPU: the
+# most at many residues of one word or less (n = 10007, k = 12: 5.0e7,
+# 1.3 s), the least at many words per residue (n = 64, k = 5000: 2.0e8,
+# 1.7 s). So this cap admits about 4 s at the most.
+_CENSUS_WORK_CAP = 150_000_000
 
 # Largest count, in bits, that a closed form may build. -k reaches 2^63 - 1
 # on the CLI and a count near n^k has about k log2 n bits; at this cap it
@@ -102,15 +109,16 @@ class ResidueVector:
             raise ValueError("counts must sum to n^k")
 
 
-def sum_of_squares_census(k: int, n: int, guard: int = DEFAULT_GUARD) -> np.ndarray:
+def sum_of_squares_census(k: int, n: int, guard: int = DEFAULT_GUARD) -> tuple[int, ...]:
     """Count square sums over all n^k tuples by the product rule.
 
-    Returns an array c with c[r] = number of k-tuples whose square sum is
-    congruent to r mod n. The k-coordinate census is the k-fold cyclic
-    convolution of the one-coordinate square census, built by repeated
-    squaring in exact integers (int64 while n^k < 2^63, Python ints above),
-    at O(n^2 log k). Tier-1 tests check it against literal enumeration. A
-    census over more than ``guard`` tuples is refused.
+    Returns a tuple of ints c with c[r] = number of k-tuples whose square
+    sum is congruent to r mod n. The k-coordinate census is the k-fold
+    cyclic convolution of the one-coordinate square census, built by
+    repeated squaring, each convolution one product of Python ints (Kronecker
+    substitution): O(log k) products of about k n log2(n) bits. Tier-1 tests
+    check it against literal enumeration. A census over more than ``guard``
+    tuples is refused.
     """
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
@@ -129,40 +137,58 @@ def sum_of_squares_census(k: int, n: int, guard: int = DEFAULT_GUARD) -> np.ndar
     )
 
 
-def _power_census(k: int, n: int) -> np.ndarray:
-    """The square census mod n raised to the k-th power, unguarded in k."""
-    import numpy as np
+def _power_census(k: int, n: int) -> tuple[int, ...]:
+    """The square census mod n raised to the k-th power, unguarded in k.
 
+    Kronecker substitution: the vector is packed into one Python int with
+    one slot per residue, so a cyclic convolution is one integer product
+    (Karatsuba in CPython) folded at n slots. A slot is the smallest array
+    item of 1, 2, 4 or 8 bytes that holds every entry, or ``m`` 64-bit
+    words once an entry needs more than one.
+    """
     if n > _CENSUS_MODULUS_CAP:
         raise BudgetExceededError(n, _CENSUS_MODULUS_CAP, f"census at modulus {n}")
-    # every intermediate entry counts tuples, so it is at most n^k
-    dtype = np.int64 if n**k < 2**63 else object
-    # one O(n^2) convolution per squaring and per further set bit of k
-    entry_cost = 1 if dtype is np.int64 else 16 * -(-k * n.bit_length() // 64)
-    work = n * n * (k.bit_length() + bin(k).count("1") - 2) * entry_cost
+    # every entry, and every entry of a product before the fold, counts
+    # tuples, so it is below n^k <= 2^bits: no slot carries into the next
+    bits = k * (n - 1).bit_length()
+    code = next((c for c in "BHIQ" if 8 * array(c).itemsize >= bits), "Q")
+    item = array(code).itemsize
+    m = max(1, -(-bits // (8 * item)))  # items per residue, over 1 only for "Q"
+    size = m * item  # bytes per residue
+    # one product per squaring and per further set bit of k
+    products = k.bit_length() + bin(k).count("1") - 2
+    work = products * round((size * n / 8) ** log2(3))
     if work > _CENSUS_WORK_CAP:
         raise BudgetExceededError(work, _CENSUS_WORK_CAP, f"census work at modulus {n}, k = {k}")
-    squares = (np.arange(n, dtype=np.int64) ** 2) % n
-    power = np.bincount(squares, minlength=n).astype(dtype)
+    squares = [0] * n
+    for x in range(n):
+        squares[x * x % n] += 1
+    words = array(code, bytes(size * n))
+    words[::m] = array(code, squares)
+    if sys.byteorder == "big":
+        words.byteswap()
+    shift = 8 * size * n
+    mask = (1 << shift) - 1
+
+    def cyclic(product: int) -> int:
+        return (product & mask) + (product >> shift)
+
+    power = int.from_bytes(words.tobytes(), "little")
     counts = None
     while True:
         if k & 1:
-            counts = power if counts is None else _cyclic_convolve(counts, power)
+            counts = power if counts is None else cyclic(counts * power)
         k >>= 1
         if not k:
-            return counts
-        power = _cyclic_convolve(power, power)
-
-
-def _cyclic_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact convolution of two residue vectors modulo their common length."""
-    import numpy as np
-
-    n = len(a)
-    full = np.convolve(a, b)
-    folded = full[:n].copy()
-    folded[: n - 1] += full[n:]
-    return folded
+            break
+        power = cyclic(power * power)
+    packed = counts.to_bytes(size * n, "little")
+    if m > 1:
+        return tuple(int.from_bytes(packed[i : i + size], "little") for i in range(0, size * n, size))
+    words = array(code, packed)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return tuple(words)
 
 
 def rho_brute(k: int, lam: int, n: int, guard: int = DEFAULT_GUARD) -> int:
@@ -170,8 +196,7 @@ def rho_brute(k: int, lam: int, n: int, guard: int = DEFAULT_GUARD) -> int:
 
     Works for every lam; refused when n^k is over the guard.
     """
-    census = sum_of_squares_census(k, n, guard)
-    return int(census[lam % n])
+    return sum_of_squares_census(k, n, guard)[lam % n]
 
 
 def even_k_sign(k: int, p: int) -> int:
@@ -231,8 +256,9 @@ def rho_base_vector(k: int, n: int) -> ResidueVector:
 
     At n = 2, 4, 8 they come from the Gauss sums mod 8 in exact integers,
     folded down to 4 and 2; at every other n, from the census kernel
-    (O(n^2 log k) big-int operations). Unlike ``sum_of_squares_census``
-    there is no n^k guard: k is bounded only by the output bit length.
+    (O(log k) products of Python ints of about k n log2(n) bits). Unlike
+    ``sum_of_squares_census`` there is no n^k guard: k is bounded only by
+    the output bit length.
     """
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
@@ -240,7 +266,7 @@ def rho_base_vector(k: int, n: int) -> ResidueVector:
         raise ValueError(f"tuple length must be >= 1, got {k}")
     _check_output_bits(k, ((n, 1),), "rho_base_vector")
     if n not in (2, 4, 8):
-        return ResidueVector(n=n, k=k, counts=tuple(int(c) for c in _power_census(k, n)))
+        return ResidueVector(n=n, k=k, counts=_power_census(k, n))
     counts = _two_adic_counts(k)
     while len(counts) > n:
         # x^2 mod 2m depends on x mod m only: the classes lam and lam + m

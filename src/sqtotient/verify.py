@@ -104,8 +104,8 @@ def _closed_forms():
                 closed = _CLOSED_FORMS[modulus](k, lam)
                 if closed != vector[lam]:
                     yield f"k={k} lam={lam} mod {modulus}: closed {closed} != residue vector {vector[lam]}"
-                if closed != int(kernel[lam]):
-                    yield f"k={k} lam={lam} mod {modulus}: closed {closed} != kernel {int(kernel[lam])}"
+                if closed != kernel[lam]:
+                    yield f"k={k} lam={lam} mod {modulus}: closed {closed} != kernel {kernel[lam]}"
             yield None
 
 
@@ -129,8 +129,8 @@ def _formula_vs_census(moduli, guard: int, formulas):
         n, k = case
         census = sum_of_squares_census(k, n, guard)
         for lam, formula in enumerate(formulas(k, n)):
-            if formula != int(census[lam]):
-                yield f"k={k} lam={lam} n={n}: formula {formula} != census {int(census[lam])}"
+            if formula != census[lam]:
+                yield f"k={k} lam={lam} n={n}: formula {formula} != census {census[lam]}"
         yield None
 
 
@@ -149,7 +149,7 @@ def _multiplicativity(bound: int, guard: int, formulas):
                 census = sum_of_squares_census(k, mn, guard)
                 at_m, at_n = formulas(k, m), formulas(k, n)
                 for lam in range(mn):
-                    if at_m[lam % m] * at_n[lam % n] != int(census[lam]):
+                    if at_m[lam % m] * at_n[lam % n] != census[lam]:
                         yield f"k={k} lam={lam} m={m} n={n}"
                 yield None
 
@@ -165,7 +165,7 @@ def _lifting_steps(guard: int):
             low = sum_of_squares_census(k, p**s, guard)
             high = sum_of_squares_census(k, p ** (s + 1), guard)
             for lam in range(p ** (s + 1)):
-                if lam % p and int(high[lam]) != p ** (k - 1) * int(low[lam % p**s]):
+                if lam % p and high[lam] != p ** (k - 1) * low[lam % p**s]:
                     yield f"p={p} s={s} k={k} lam={lam}"
             yield None
 

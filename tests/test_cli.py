@@ -396,10 +396,16 @@ class TestImportContract:
             (["rho", "-k", "3", "-l", "2", "-n", "45"], False, False),
             (["rho", "-k", "3", "-l", "4", "-n", "20"], False, False),
             (["report", "menon", "-k", "2", "--nmax", "100"], False, False),
+            (["verify", "rho", "--limit", "12"], False, False),
+            (["verify", "phi", "--limit", "10"], False, False),
             (["phi", "-k", "1", "--range", "10"], True, False),
-            (["report", "constants", "-k", "2"], True, True),
+            (["report", "constants", "-k", "2"], False, True),
+            (["report", "minimal-order", "-k", "3"], False, True),
         ],
-        ids=["import", "phi -n", "rho odd n", "rho even n", "report menon", "phi --range", "report constants"],
+        ids=[
+            "import", "phi -n", "rho odd n", "rho even n", "report menon", "verify rho", "verify phi",
+            "phi --range", "report constants", "report minimal-order",
+        ],
     )
     def test_libraries_loaded(self, args, numpy, mpmath):
         # a fresh interpreter, since this one has loaded both already

@@ -2,6 +2,8 @@
 
 import math
 import random
+import time
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -53,6 +55,21 @@ class TestSpfTable:
         primes = primes_upto(2000)
         assert primes == [n for n in range(2001) if naive_is_prime(n)]
         assert all(type(p) is int for p in primes)
+
+    def test_primes_upto_size_guard(self):
+        from sqtotient.core_arith import primes_upto
+
+        started = time.process_time()
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match="primes_upto sieve limit") as info:
+                primes_upto(2**24 + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (info.value.required, info.value.budget) == (2**24 + 1, 2**24)
+        assert peak < 10**7
+        assert time.process_time() - started < 0.5
 
 
 class TestFactorize:

@@ -87,7 +87,8 @@ class TestCensusKernel:
         assert peak < 10**7
 
     def test_work_cap_refuses_before_allocating(self):
-        # one convolution at n = 2^20 is 2^40 steps, about 15 min of CPU
+        # one product of 2^20-word integers weighs (2^20)^log2(3) = 3^20,
+        # about a minute of CPU
         started = time.process_time()
         tracemalloc.start()
         try:
@@ -96,27 +97,63 @@ class TestCensusKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert info.value.required == 2**40
+        assert info.value.required == 3**20
         assert "census work at modulus 1048576" in str(info.value)
         assert peak < 10**7
         assert time.process_time() - started < 0.5
 
     def test_work_cap_weighs_python_int_entries(self):
-        # 256^2 x 19 convolutions of entries of 32000 x 9 bits (4500 words):
-        # 95 s of CPU while the cap counted convolutions only
+        # 19 products of integers of 256 x 4000 words (entries of 32000 x 8
+        # bits): 19 x round(1024000^log2(3)); minutes of CPU
         started = time.process_time()
         with pytest.raises(BudgetExceededError) as info:
             rho_base_vector(32000, 256)
-        assert info.value.required == 256**2 * 19 * 16 * 4500
+        assert info.value.required == 63_804_843_882
         assert "census work at modulus 256, k = 32000" in str(info.value)
         assert time.process_time() - started < 0.5
+
+    def test_entries_wider_than_one_word(self):
+        # k (n - 1).bit_length() > 64 packs each entry into two or more
+        # words; Hensel descent in rho is an independent route
+        kernel = sys.modules["sqtotient.rho"]._power_census
+        for n in range(1, 41):
+            for k in (23, 41, 64, 100):
+                assert list(kernel(k, n)) == [rho(k, lam, n) for lam in range(n)], (k, n)
+
+    def test_equals_the_numpy_convolution(self):
+        # an independent reference: repeated squaring by np.convolve in
+        # object dtype, folded modulo n
+        def convolve(a, b):
+            full = np.convolve(a, b)
+            folded = full[: len(a)].copy()
+            folded[: len(a) - 1] += full[len(a) :]
+            return folded
+
+        def reference(k, n):
+            power = np.bincount([x * x % n for x in range(n)], minlength=n).astype(object)
+            counts = None
+            while k:
+                if k & 1:
+                    counts = power if counts is None else convolve(counts, power)
+                k >>= 1
+                if k:
+                    power = convolve(power, power)
+            return [int(c) for c in counts]
+
+        kernel = sys.modules["sqtotient.rho"]._power_census
+        grid = [(k, n) for n in range(1, 129) for k in range(1, 12) if n**k < 2**200]
+        grid += [(k, n) for n in (2, 3, 4, 8, 12, 24, 40) for k in (63, 64, 65, 100, 400, 1000, 3000)]
+        for k, n in grid:
+            counts = kernel(k, n)
+            assert type(counts) is tuple and all(type(c) is int for c in counts)
+            assert list(counts) == reference(k, n), (k, n)
 
     @given(st.integers(min_value=1, max_value=20), st.integers(min_value=1, max_value=4))
     @settings(max_examples=60, deadline=None)
     def test_census_totals(self, n, k):
         census = sum_of_squares_census(k, n)
-        assert int(census.sum()) == n**k
-        assert int(census.min()) >= 0
+        assert sum(census) == n**k
+        assert min(census) >= 0
 
 
 class TestBruteExamples:

@@ -38,7 +38,7 @@ def _convolution_fails_at_7_for_k4(real):
 
 def _kernel_off_by_one_at_8(real):
     def fake(k, n):
-        counts = real(k, n).copy()
+        counts = list(real(k, n))
         counts[1] += n == 8
         return counts
 
