@@ -19,7 +19,7 @@ from . import averaging, menon, verify
 from .core_arith import BudgetExceededError, _check_sieve_limit
 from .phi import phi_k
 from .reporting import FORMATS, render
-from .rho import DEFAULT_GUARD, MAX_OUTPUT_BITS, _check_output_bits, rho
+from .rho import MAX_OUTPUT_BITS, _check_output_bits, rho
 
 INT64_MAX = 2**63 - 1
 
@@ -150,7 +150,7 @@ def rho_command(k, lam, n, fmt, out, no_meta):
 @main.command("verify")
 @click.argument("suite", type=click.Choice(sorted(verify.SUITES)))
 @click.option("--limit", type=POSITIVE, default=50, show_default=True, help="Range bound handed to the suite.")
-@click.option("--max-enum", type=POSITIVE, default=DEFAULT_GUARD, show_default=True, help="Tuple budget for enumeration oracles.")
+@click.option("--max-enum", type=POSITIVE, default=verify.DEFAULT_GUARD, show_default=True, help="Largest n^k that verify compares against the census.")
 @output_options
 @guard_errors
 def verify_command(suite, limit, max_enum, fmt, out, no_meta):

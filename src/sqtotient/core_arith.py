@@ -46,15 +46,14 @@ _MAX_SIEVE_LIMIT = 1 << 24
 class BudgetExceededError(RuntimeError):
     """Raised when a computation would exceed its resource budget.
 
-    ``required`` is the budget the computation needs: an int, or a power
-    written out as "n^k" when that number is too large to build. ``hint``
-    says how to raise the budget, for the budgets a caller sets.
+    ``required`` is the budget the computation needs, in the unit of
+    ``budget``, the limit it is over.
     """
 
-    def __init__(self, required: int | str, budget: int, what: str, hint: str = ""):
+    def __init__(self, required: int, budget: int, what: str):
         self.required = required
         self.budget = budget
-        super().__init__(f"{what} needs a budget of {required}, over the limit of {budget}{hint}")
+        super().__init__(f"{what} needs a budget of {required}, over the limit of {budget}")
 
 
 def _check_sieve_limit(limit: int, what: str) -> None:

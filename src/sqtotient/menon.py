@@ -41,7 +41,7 @@ from .core_arith import (
     factorize,
 )
 from .phi import phi_k
-from .rho import DEFAULT_GUARD, _check_output_bits, _local_count, _prime_count, rho_base_vector, sum_of_squares_census
+from .rho import _check_output_bits, _local_count, _prime_count, rho_base_vector, sum_of_squares_census
 
 __all__ = [
     "MenonRow",
@@ -113,7 +113,7 @@ def menon_lhs(k: int, n: int) -> int:
     """Gcd-sum over tuples with invertible square sum, via residue classes.
 
     Factors n once and takes one closed-form block per prime power p^e
-    instead of n^k tuples, so no enumeration guard is involved.
+    instead of n^k tuples, so the census is never built.
     """
     if k < 1:
         raise ValueError(f"tuple length must be >= 1, got {k}")
@@ -143,7 +143,7 @@ def _menon_block(k: int, p: int, e: int) -> int:
         # which sums to 8 P(2^j) = 8 (j + 2) 2^(j-1) (Pillai's gcd-sum),
         # and r = 3, 5, 7 give gcd 2, 4, 2 for each of the 2^j values of mu
         j = e - 3
-        at8 = rho_base_vector(k, 8).counts
+        at8 = rho_base_vector(k, 8)
         block = 8 * ((j + 2) << j >> 1) * at8[1] + ((2 * at8[3] + 4 * at8[5] + 2 * at8[7]) << j)
         return block << j * (k - 1)
     # over the units, gcd(lam - 1, p^e) sums to (e + 1) phi(p^e) (Menon), and
@@ -156,13 +156,13 @@ def _menon_block(k: int, p: int, e: int) -> int:
     return p ** ((e - 1) * (k - 1)) * phi_half * ((2 * e + 1) * residue_count + nonresidue_count)
 
 
-def menon_lhs_brute(k: int, n: int, guard: int = DEFAULT_GUARD) -> int:
+def menon_lhs_brute(k: int, n: int) -> int:
     """Same gcd-sum from the residue census; cross-check only."""
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
     if n == 1:
         return 1
-    census = sum_of_squares_census(k, n, guard)
+    census = sum_of_squares_census(k, n)
     return sum(
         census[lam] * gcd(lam - 1, n)
         for lam in range(n)

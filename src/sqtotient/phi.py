@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd, prod
 
 from .core_arith import Factorization, as_factorization, euler_phi, jordan_totient
-from .rho import DEFAULT_GUARD, _check_output_bits, _local_count, even_k_sign, sum_of_squares_census
+from .rho import _check_output_bits, _local_count, even_k_sign, sum_of_squares_census
 
 __all__ = [
     "phi_k_brute",
@@ -32,9 +32,9 @@ __all__ = [
 ]
 
 
-def phi_k_brute(k: int, n: int, guard: int = DEFAULT_GUARD) -> int:
+def phi_k_brute(k: int, n: int) -> int:
     """Count of tuples whose square sum is a unit mod n, from the census."""
-    census = sum_of_squares_census(k, n, guard)
+    census = sum_of_squares_census(k, n)
     return sum(c for r, c in enumerate(census) if gcd(r, n) == 1)
 
 

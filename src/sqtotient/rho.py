@@ -14,7 +14,7 @@ one local count serves every residue class:
 
 At an odd prime the count is p^(k-1) plus a signed power of p picked by the
 parity of k and the quadratic character of lam (Euler criterion), lam = 0
-included. The moduli 2, 4, 8 are read from the residue vector, which there
+included. The moduli 2, 4, 8 are read from the residue vector, which
 comes from Gauss sums: with S(t) the sum of zeta_8^(t x^2) over x mod 8,
 8 rho(k, lam, 8) is the sum over t mod 8 of S(t)^k zeta_8^(-t lam), and
 S(t) is 8, 4 + 4i, 0, 4 - 4i at t = 0, 2, 4, 6 and 4 zeta_8^t at odd t.
@@ -33,10 +33,10 @@ The census kernel raises the census of squares mod n to the k-th power
 under cyclic convolution, by repeated squaring. Each convolution is one
 product of Python ints, into which the vectors are packed at a fixed
 slot width per residue (Kronecker substitution), and the census is a
-tuple of ints at every n and k. It gives the residue vector at
-every other modulus, and it is the guarded oracle
+tuple of ints at every n and k. It is the oracle
 (``sum_of_squares_census``, ``rho_brute``) that the tier-1 tests check
-against literal enumeration; ``rho`` never reaches it.
+against literal enumeration, bounded by a modulus cap and a work cap
+that refuse before allocating; ``rho`` never reaches it.
 """
 
 from __future__ import annotations
@@ -51,8 +51,6 @@ from math import log2
 from .core_arith import BudgetExceededError, as_factorization, is_prime
 
 __all__ = [
-    "DEFAULT_GUARD",
-    "ResidueVector",
     "sum_of_squares_census",
     "rho_brute",
     "rho_odd_prime",
@@ -63,9 +61,6 @@ __all__ = [
     "closed_form_rho4",
     "trig_closed_form_rho8",
 ]
-
-# Default ceiling on n^k, the number of tuples a census may count.
-DEFAULT_GUARD = 10**8
 
 # Largest modulus the census kernel takes: it holds a few integers of at
 # least one 64-bit word per residue (8 MB per word at this cap).
@@ -92,24 +87,7 @@ def _check_output_bits(k: int, factors, what: str) -> None:
         raise BudgetExceededError(bits, MAX_OUTPUT_BITS, f"output bit length of {what} at k = {k}")
 
 
-@dataclass(frozen=True)
-class ResidueVector:
-    """Counts of square sums per residue class: counts[lam] = rho(k, lam, n)."""
-
-    n: int
-    k: int
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.counts) != self.n:
-            raise ValueError("need exactly one count per residue class")
-        if any(c < 0 for c in self.counts):
-            raise ValueError("counts must be nonnegative")
-        if sum(self.counts) != self.n**self.k:
-            raise ValueError("counts must sum to n^k")
-
-
-def sum_of_squares_census(k: int, n: int, guard: int = DEFAULT_GUARD) -> tuple[int, ...]:
+def sum_of_squares_census(k: int, n: int) -> tuple[int, ...]:
     """Count square sums over all n^k tuples by the product rule.
 
     Returns a tuple of ints c with c[r] = number of k-tuples whose square
@@ -117,28 +95,18 @@ def sum_of_squares_census(k: int, n: int, guard: int = DEFAULT_GUARD) -> tuple[i
     cyclic convolution of the one-coordinate square census, built by
     repeated squaring, each convolution one product of Python ints (Kronecker
     substitution): O(log k) products of about k n log2(n) bits. Tier-1 tests
-    check it against literal enumeration. A census over more than ``guard``
-    tuples is refused.
+    check it against literal enumeration. A modulus over the kernel's cap,
+    or a predicted cost over its work cap, is refused before allocating.
     """
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
     if k < 1:
         raise ValueError(f"tuple length must be >= 1, got {k}")
-    if n > 1 and k >= guard.bit_length():
-        # n^k >= 2^k > guard: refuse without building the power
-        total = f"{n}^{k}"
-    else:
-        total = n**k
-        if total <= guard:
-            return _power_census(k, n)
-    raise BudgetExceededError(
-        total, guard, f"enumerating {n}^{k} tuples",
-        f"; raise the guard to at least {total} to run it",
-    )
+    return _power_census(k, n)
 
 
 def _power_census(k: int, n: int) -> tuple[int, ...]:
-    """The square census mod n raised to the k-th power, unguarded in k.
+    """The square census mod n raised to the k-th power (arguments not re-checked).
 
     Kronecker substitution: the vector is packed into one Python int with
     one slot per residue, so a cyclic convolution is one integer product
@@ -191,12 +159,12 @@ def _power_census(k: int, n: int) -> tuple[int, ...]:
     return tuple(words)
 
 
-def rho_brute(k: int, lam: int, n: int, guard: int = DEFAULT_GUARD) -> int:
+def rho_brute(k: int, lam: int, n: int) -> int:
     """Exact count of tuples with square sum lam mod n, from the census.
 
-    Works for every lam; refused when n^k is over the guard.
+    Works for every lam; refused where the census is.
     """
-    return sum_of_squares_census(k, n, guard)[lam % n]
+    return sum_of_squares_census(k, n)[lam % n]
 
 
 def even_k_sign(k: int, p: int) -> int:
@@ -251,29 +219,26 @@ def _two_adic_counts(k: int) -> list[int]:
 
 
 @lru_cache(maxsize=4096)
-def rho_base_vector(k: int, n: int) -> ResidueVector:
-    """All residue-class counts at once.
+def rho_base_vector(k: int, n: int) -> tuple[int, ...]:
+    """(rho(k, lam, n) for lam mod n) at the base moduli n = 2, 4, 8.
 
-    At n = 2, 4, 8 they come from the Gauss sums mod 8 in exact integers,
-    folded down to 4 and 2; at every other n, from the census kernel
-    (O(log k) products of Python ints of about k n log2(n) bits). Unlike
-    ``sum_of_squares_census`` there is no n^k guard: k is bounded only by
-    the output bit length.
+    The counts come from the Gauss sums mod 8 in exact integers, folded
+    down to 4 and 2; k is bounded only by the output bit length. These are
+    the moduli the local counts at p = 2 read; ``sum_of_squares_census``
+    gives the counts at any modulus.
     """
-    if n < 1:
-        raise ValueError(f"modulus must be >= 1, got {n}")
+    if n not in (2, 4, 8):
+        raise ValueError(f"base vectors exist at moduli 2, 4, 8 only, got {n}")
     if k < 1:
         raise ValueError(f"tuple length must be >= 1, got {k}")
     _check_output_bits(k, ((n, 1),), "rho_base_vector")
-    if n not in (2, 4, 8):
-        return ResidueVector(n=n, k=k, counts=_power_census(k, n))
     counts = _two_adic_counts(k)
     while len(counts) > n:
         # x^2 mod 2m depends on x mod m only: the classes lam and lam + m
         # merge, and each tuple mod m has 2^k lifts mod 2m
         m = len(counts) // 2
         counts = [(counts[lam] + counts[lam + m]) >> k for lam in range(m)]
-    return ResidueVector(n=n, k=k, counts=tuple(counts))
+    return tuple(counts)
 
 
 def _local_count(k: int, lam: int, p: int, e: int) -> int:
@@ -281,14 +246,14 @@ def _local_count(k: int, lam: int, p: int, e: int) -> int:
     count, scale = 0, 1
     while True:
         if p == 2 and e <= 3:
-            return count + scale * rho_base_vector(k, 1 << e).counts[lam % (1 << e)]
+            return count + scale * rho_base_vector(k, 1 << e)[lam % (1 << e)]
         if e <= 1:
             return count + scale * (_prime_count(k, lam % p, p) if e else 1)
         # the nonsingular solutions at the base modulus, lifted to p^e
         if p == 2:
-            nonsingular, base = rho_base_vector(k, 8).counts[lam % 8], 3
+            nonsingular, base = rho_base_vector(k, 8)[lam % 8], 3
             if lam % 4 == 0:
-                nonsingular -= 2**k * rho_base_vector(k, 2).counts[lam // 4 % 2]
+                nonsingular -= 2**k * rho_base_vector(k, 2)[lam // 4 % 2]
         else:
             nonsingular, base = _prime_count(k, lam % p, p) - (lam % p == 0), 1
         count += scale * nonsingular * p ** ((e - base) * (k - 1))

@@ -2,13 +2,13 @@
 
 Each check is a generator over a bounded range of cases. It yields one
 outcome per case: None when the case holds, a counterexample string when
-it fails, or ``_SKIPPED`` when the enumeration guard refuses the oracle.
-One runner counts the outcomes, stops at the first counterexample, and
-reports either it or "<coverage>: N cases checked", followed, for a check
-that consults a guard, by ", M skipped by the guard of G tuples" with the
-guard G it applied. Suites whose work grows with the limit refuse a limit
-above a fixed cap before doing any work. These back the CLI ``verify``
-subcommand and the acceptance tests.
+it fails, or ``_SKIPPED`` when n^k is over the check's guard, the largest
+census it compares against. One runner counts the outcomes, stops at the
+first counterexample, and reports either it or "<coverage>: N cases
+checked", followed, for a check that consults a guard, by ", M skipped by
+the guard of G tuples" with the guard G it applied. Suites whose work
+grows with the limit refuse a limit above a fixed cap before doing any
+work. These back the CLI ``verify`` subcommand and the acceptance tests.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .core_arith import BudgetExceededError, build_spf, factorize
 from .menon import menon_classic
 from .phi import phi_k, phi_k_brute, phi_k_via_rho, phi_ratio_check, phi_k_via_jordan
 from .rho import (
-    DEFAULT_GUARD,
     _power_census,
     closed_form_rho2,
     closed_form_rho4,
@@ -33,7 +32,12 @@ from .rho import (
     trig_closed_form_rho8,
 )
 
-__all__ = ["Check", "SuiteResult", "SUITES", "run_suite"]
+__all__ = ["Check", "DEFAULT_GUARD", "SuiteResult", "SUITES", "run_suite"]
+
+# Default guard: the largest n^k at which a check compares against the
+# census (``--max-enum``). It sets coverage only; the census kernel has
+# its own modulus and work caps.
+DEFAULT_GUARD = 10**8
 
 
 @dataclass(frozen=True)
@@ -95,10 +99,10 @@ _CLOSED_FORMS = {
 
 def _closed_forms():
     # three routes per (modulus, k): the Gauss-sum residue vector, the trig
-    # closed forms, and the census kernel, which has no tuple guard
+    # closed forms, and the census kernel, at every k whatever the guard
     for modulus in (2, 4, 8):
         for k in range(1, 33):
-            vector = rho_base_vector(k, modulus).counts
+            vector = rho_base_vector(k, modulus)
             kernel = _power_census(k, modulus)
             for lam in range(1, modulus, 2):
                 closed = _CLOSED_FORMS[modulus](k, lam)
@@ -110,10 +114,10 @@ def _closed_forms():
 
 
 def _census_totals(n_max: int):
-    # the residue-vector route has no tuple guard
+    # not guarded: n <= 64 and k <= 8 are far inside the kernel's caps
     for n in range(1, n_max + 1):
         for k in range(1, 9):
-            yield f"n={n} k={k}" if sum(rho_base_vector(k, n).counts) != n**k else None
+            yield f"n={n} k={k}" if sum(sum_of_squares_census(k, n)) != n**k else None
 
 
 def _residue_counts(k: int, n: int) -> list[int]:
@@ -127,7 +131,7 @@ def _formula_vs_census(moduli, guard: int, formulas):
             yield case
             continue
         n, k = case
-        census = sum_of_squares_census(k, n, guard)
+        census = sum_of_squares_census(k, n)
         for lam, formula in enumerate(formulas(k, n)):
             if formula != census[lam]:
                 yield f"k={k} lam={lam} n={n}: formula {formula} != census {census[lam]}"
@@ -146,7 +150,7 @@ def _multiplicativity(bound: int, guard: int, formulas):
                     yield case
                     continue
                 mn, k = case
-                census = sum_of_squares_census(k, mn, guard)
+                census = sum_of_squares_census(k, mn)
                 at_m, at_n = formulas(k, m), formulas(k, n)
                 for lam in range(mn):
                     if at_m[lam % m] * at_n[lam % n] != census[lam]:
@@ -162,8 +166,8 @@ def _lifting_steps(guard: int):
             if p ** ((s + 1) * k) > guard:
                 yield _SKIPPED
                 continue
-            low = sum_of_squares_census(k, p**s, guard)
-            high = sum_of_squares_census(k, p ** (s + 1), guard)
+            low = sum_of_squares_census(k, p**s)
+            high = sum_of_squares_census(k, p ** (s + 1))
             for lam in range(p ** (s + 1)):
                 if lam % p and high[lam] != p ** (k - 1) * low[lam % p**s]:
                     yield f"p={p} s={s} k={k} lam={lam}"
@@ -177,7 +181,7 @@ def _rho(limit: int, guard: int) -> list[Check]:
     n_max, general, pairs = min(limit, 64), min(limit, 100), min(limit, 24)
     # the three formula checks read one table of residue counts per (k, n)
     formulas = lru_cache(maxsize=None)(_residue_counts)
-    # the checks over general moduli enumerate at most 10^6 tuples per census
+    # the checks over general moduli compare censuses of at most 10^6 tuples
     wide_guard = min(guard, 10**6)
     return [
         _run(
@@ -219,7 +223,7 @@ def _three_routes(limit: int, guard: int):
             yield case
             continue
         n, k = case
-        closed, brute, via = phi_k(k, n), phi_k_brute(k, n, guard), phi_k_via_rho(k, n)
+        closed, brute, via = phi_k(k, n), phi_k_brute(k, n), phi_k_via_rho(k, n)
         yield None if closed == brute == via else (
             f"k={k} n={n}: closed {closed}, enumerated {brute}, residue-sum {via}"
         )

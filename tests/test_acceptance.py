@@ -47,7 +47,7 @@ def test_criterion_01_three_route_oracle_equivalence():
             if n**k > GUARD:
                 continue
             closed = phi_k(k, n)
-            if phi_k_brute(k, n, GUARD) != closed or phi_k_via_rho(k, n) != closed:
+            if phi_k_brute(k, n) != closed or phi_k_via_rho(k, n) != closed:
                 bad = f"k={k} n={n}"
                 break
         if bad:
@@ -80,9 +80,9 @@ def test_criterion_03_closed_forms_recurrence_oracle():
     ok = True
     detail = ""
     for k in range(1, 33):
-        expected2 = rho_base_vector(k, 2).counts
-        expected4 = rho_base_vector(k, 4).counts
-        expected8 = rho_base_vector(k, 8).counts
+        expected2 = rho_base_vector(k, 2)
+        expected4 = rho_base_vector(k, 4)
+        expected8 = rho_base_vector(k, 8)
         if closed_form_rho2(k) != expected2[1]:
             ok, detail = False, f"modulus 2 k={k}"
             break
@@ -93,16 +93,15 @@ def test_criterion_03_closed_forms_recurrence_oracle():
             ok, detail = False, f"modulus 8 k={k}"
             break
         for modulus, vector in ((2, expected2), (4, expected4), (8, expected8)):
-            if modulus**k <= GUARD:
-                census = sum_of_squares_census(k, modulus, GUARD)
-                if any(int(census[lam]) != vector[lam] for lam in range(1, modulus, 2)):
-                    ok, detail = False, f"census modulus {modulus} k={k}"
-                    break
+            census = sum_of_squares_census(k, modulus)
+            if any(int(census[lam]) != vector[lam] for lam in range(1, modulus, 2)):
+                ok, detail = False, f"census modulus {modulus} k={k}"
+                break
         if not ok:
             break
     _conclude(
         3,
-        "closed forms = residue vector (= guarded census) at 2, 4, 8 for k <= 32",
+        "closed forms = residue vector (= census) at 2, 4, 8 for k <= 32",
         ok,
         started,
         detail,

@@ -3,10 +3,12 @@
 import re
 
 import pytest
+from click.testing import CliRunner
 
 import sqtotient.verify as verify
 from sqtotient import BudgetExceededError
 from sqtotient.averaging import ConvolutionReport
+from sqtotient.cli import main
 from sqtotient.verify import SUITES, run_suite
 
 
@@ -114,7 +116,7 @@ def test_counts_match_the_checked_cases():
         f"{checked} cases checked, {skipped} skipped by the guard of {guard} tuples"
         for checked, skipped, guard in ((72, 0, 10**8), (105, 15, 10**6), (290, 250, 10**6), (23, 1, 10**8))
     ]
-    # the kernel is compared at every (modulus, k), with no tuple guard
+    # the kernel is compared at every (modulus, k), with no guard
     assert details[0] == "k <= 32, all odd residues; Gauss sums, trig forms and census kernel: 96 cases checked"
     assert details[1] == "n <= 20, k <= 8: 160 cases checked"
     (phi,) = run_suite("phi", 30).checks
@@ -135,3 +137,61 @@ def test_limit_cap_refuses_before_any_work(monkeypatch, suite):
     with pytest.raises(BudgetExceededError) as info:
         run_suite(suite, largest + 1)
     assert (info.value.required, info.value.budget) == (largest + 1, largest)
+
+
+# Two verify commands byte for byte, so that the coverage --max-enum sets
+# cannot drift unseen: every skip count below comes from it
+PINNED_OUTPUT = {
+    "rho --limit 12 --max-enum 100000 --format json": """{
+  "rows": [
+    {
+      "suite": "rho",
+      "check": "closed forms at moduli 2, 4, 8",
+      "ok": true,
+      "detail": "k <= 32, all odd residues; Gauss sums, trig forms and census kernel: 96 cases checked"
+    },
+    {
+      "suite": "rho",
+      "check": "census totals n^k",
+      "ok": true,
+      "detail": "n <= 12, k <= 8: 96 cases checked"
+    },
+    {
+      "suite": "rho",
+      "check": "prime-power formula vs enumeration",
+      "ok": true,
+      "detail": "odd prime powers <= 12, powers of two <= 12, every residue, k <= 6: 43 cases checked, 5 skipped by the guard of 100000 tuples"
+    },
+    {
+      "suite": "rho",
+      "check": "general-modulus formula vs enumeration",
+      "ok": true,
+      "detail": "n <= 12, every residue, k <= 6: 64 cases checked, 8 skipped by the guard of 100000 tuples"
+    },
+    {
+      "suite": "rho",
+      "check": "residue-count multiplicativity",
+      "ok": true,
+      "detail": "coprime pairs <= 12, every residue, k <= 5: 95 cases checked, 75 skipped by the guard of 100000 tuples"
+    },
+    {
+      "suite": "rho",
+      "check": "prime-power lifting steps",
+      "ok": true,
+      "detail": "p in (3, 5) s <= 3 and p = 2 s in (3, 4), k <= 3: 20 cases checked, 4 skipped by the guard of 100000 tuples"
+    }
+  ]
+}
+""",
+    "phi --limit 30": (
+        "suite  check                  ok    detail\n"
+        "phi    three-route agreement  true  n <= 30, k <= 4: 120 cases checked, 0 skipped by the guard of 100000000 tuples\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_OUTPUT))
+def test_verify_output_bytes(command):
+    result = CliRunner().invoke(main, ["verify", *command.split(), "--no-meta"])
+    assert result.exit_code == 0
+    assert result.output == PINNED_OUTPUT[command]
