@@ -45,7 +45,16 @@ class TestCensusKernel:
             assert type(value) is int
             assert value == 2**63
 
-    def test_budget_refuses_huge_k_before_allocating(self):
+    def test_budget_names_requirement(self):
+        # entries of 1910 bits, 30 words per residue: 13 products of
+        # 30,000 words, 13 x round(30000^log2(3))
+        with pytest.raises(BudgetExceededError) as info:
+            sum_of_squares_census(191, 1000)
+        assert info.value.required == 162_185_738
+        assert info.value.budget == 150_000_000
+        assert "needs a budget of 162185738, over the limit of 150000000" in str(info.value)
+
+    def test_budget_refuses_huge_k_without_the_power(self):
         # entries of 2 (2^63 - 1) bits each: the work cap refuses every oracle
         # from k and n alone, before any power is built
         oracles = (
