@@ -34,18 +34,11 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
-from .core_arith import (
-    BudgetExceededError,
-    SpfTable,
-    _check_sieve_limit,
-    build_spf,
-    factorize,
-    primes_upto,
-)
+from .core_arith import BudgetExceededError, _check_sieve_limit, build_spf, factorize, primes_upto
 from .phi import _phi_k_at_primes, phi_k_prime_power
 from .rho import _check_output_bits
 
@@ -71,7 +64,8 @@ _WORK_DPS = 30
 _MAX_WORK_DPS = 128
 
 # Primes multiplied explicitly in an Euler product; the rest is the
-# prime-zeta tail series.
+# prime-zeta tail series. _log10_neglected needs at least twice a family's
+# root bound, which is at most 3.
 _DEFAULT_PRIME_BOUND = 64
 
 _MAX_PRIMORIAL_PRIMES = 10_000
@@ -135,7 +129,7 @@ class ConvolutionReport:
 _CHUNK = 1 << 13
 
 
-def _multiplicative_table(limit: int, k: int, table: SpfTable | None, at_primes, ratio) -> list[int]:
+def _multiplicative_table(limit: int, k: int, at_primes, ratio) -> list[int]:
     """values[n] = f(n) for n <= limit, f multiplicative and given at primes.
 
     ``at_primes`` maps an array of primes, in the table's dtype, to f(p);
@@ -148,7 +142,7 @@ def _multiplicative_table(limit: int, k: int, table: SpfTable | None, at_primes,
     blocks below it are already filled. |f(n)| <= n^k is required, which
     keeps the table in int64 while limit^k < 2^63 and in exact Python ints
     above. Slot 0 is a placeholder. A limit above the sieve cap is refused
-    before anything is allocated.
+    before anything is allocated, and the SPF sieve is built here.
     """
     import numpy as np
 
@@ -157,12 +151,12 @@ def _multiplicative_table(limit: int, k: int, table: SpfTable | None, at_primes,
     values = np.zeros(limit + 1, dtype=dtype)
     values[1] = 1
     if limit >= 2:
-        spf = (table if table is not None and table.limit >= limit else build_spf(limit)).spf
+        spf = build_spf(limit)
         # a composite n <= limit has spf[n] <= isqrt(limit)
         ratios = ratio(np.arange(math.isqrt(limit) + 1).astype(dtype))
         for lo in range(0, limit + 1, _CHUNK):
             _fill_chunk(values, spf, max(lo, 2), min(lo + _CHUNK, limit + 1), at_primes, ratios)
-        del spf  # frees a sieve built here before the list is allocated
+        del spf  # frees the sieve before the list is allocated
     return values.tolist()
 
 
@@ -184,7 +178,7 @@ def _fill_chunk(values: np.ndarray, spf: np.ndarray, lo: int, hi: int, at_primes
         values[lo + rest[i:j]] = values[m[i:j]] * factor[i:j]
 
 
-def phi_k_table(k: int, x: int, table: SpfTable | None = None) -> list[int]:
+def phi_k_table(k: int, x: int) -> list[int]:
     """Exact phi_k(n) for all n <= x, indexed by n (slot 0 is a placeholder).
 
     Built from the values at primes and the ratio p^k between consecutive
@@ -196,12 +190,12 @@ def phi_k_table(k: int, x: int, table: SpfTable | None = None) -> list[int]:
     if x < 1:
         raise ValueError(f"range end must be >= 1, got {x}")
     _check_output_bits(k, ((x, 1),), "phi_k_table")
-    return _multiplicative_table(x, k, table, lambda p: _phi_k_at_primes(k, p), lambda p: p**k)
+    return _multiplicative_table(x, k, lambda p: _phi_k_at_primes(k, p), lambda p: p**k)
 
 
-def partial_sum(k: int, x: int, table: SpfTable | None = None) -> int:
+def partial_sum(k: int, x: int) -> int:
     """Exact sum of phi_k(n) for n <= x."""
-    return sum(phi_k_table(k, x, table=table))
+    return sum(phi_k_table(k, x))
 
 
 @dataclass(frozen=True)
@@ -248,16 +242,6 @@ def _euler_family(k: int) -> _Family:
         den=((2, 0), (m, t)),
         decay=m + 1,
     )
-
-
-# The residue-class product forms of the two corollaries. k = 2 splits
-# over p mod 4: (1 - 2x^2 + x^3)/(1 - x^2)^2 at p = 1 and
-# (1 - x^3)/(1 - x^4) at p = 3, one formula with s = chi_4(p); k = 4 is
-# (1 - x^2 - x^3 + x^4)/((1 - x^2)(1 - x^3)) at every p.
-_COROLLARY_FAMILIES = {
-    2: _Family(Fraction(1, 4), ((2, -1, -1), (3, 0, 1)), ((2, 0), (2, 1)), 3),
-    4: _Family(Fraction(3, 20), ((2, -1, 0), (3, -1, 0), (4, 1, 0)), ((2, 0), (3, 0)), 4),
-}
 
 
 @lru_cache(maxsize=256)
@@ -382,7 +366,7 @@ def _working_dps(tol: float) -> int:
     return dps
 
 
-def _assemble(k: int, family: _Family, tol: float, prime_bound: int | None) -> EulerConstant:
+def _assemble(k: int, family: _Family, tol: float) -> EulerConstant:
     """Cohen's evaluation: an explicit product over p <= P and a prime-zeta tail.
 
     log C = log scale + log prod_{p>2} den(1/p) + sum_{2<p<=P} log h_p
@@ -398,10 +382,7 @@ def _assemble(k: int, family: _Family, tol: float, prime_bound: int | None) -> E
     import mpmath as mp
 
     dps = _working_dps(tol)
-    p_bound = _DEFAULT_PRIME_BOUND if prime_bound is None else prime_bound
-    _check_sieve_limit(p_bound, "Euler-product prime")
-    if p_bound < 2 * family.root_bound:
-        raise ValueError(f"prime bound must be >= {2 * family.root_bound}, got {p_bound}")
+    p_bound = _DEFAULT_PRIME_BOUND
     order = family.decay - 1
     while _log10_neglected(family, p_bound, order) > math.log10(tol / 2):
         order += 1
@@ -449,13 +430,12 @@ def _assemble(k: int, family: _Family, tol: float, prime_bound: int | None) -> E
         return EulerConstant(k=k, value=+value, prime_bound=p_bound, tail_bound=+tail)
 
 
-def euler_constant(k: int, tol: float = 1e-9, prime_bound: int | None = None) -> EulerConstant:
+def euler_constant(k: int, tol: float = 1e-9) -> EulerConstant:
     """The average-order constant C_k, within ``tail_bound`` <= ``tol`` of it.
 
     Odd k needs no product: the constant is 6/pi^2 exactly. Even k is
-    Cohen's evaluation of the Euler product (see _assemble), with primes up
-    to 64 multiplied explicitly; ``prime_bound`` moves that cut and ``tol``
-    still sets the rest.
+    Cohen's evaluation of the Euler product (see _assemble), with the primes
+    up to 64 multiplied explicitly and ``tol`` setting the rest.
     """
     import mpmath as mp
 
@@ -464,23 +444,23 @@ def euler_constant(k: int, tol: float = 1e-9, prime_bound: int | None = None) ->
     if k % 2 == 1:
         with mp.workdps(_working_dps(tol)):
             return EulerConstant(k=k, value=6 / mp.pi**2, prime_bound=0, tail_bound=mp.mpf(0))
-    return _assemble(k, _euler_family(k), tol, prime_bound)
+    return _assemble(k, _euler_family(k), tol)
 
 
-def corollary_constant(k: int, tol: float = 1e-9, prime_bound: int | None = None) -> EulerConstant:
+def corollary_constant(k: int, tol: float = 1e-9) -> EulerConstant:
     """Leading coefficient of x^(k+1) in the k = 2 and k = 4 partial sums.
 
-    Its residual coefficients are written out from the residue-class
-    product forms (split over p mod 4 for k = 2) instead of generated as
-    in euler_constant, so it cross-checks that construction; it must agree
-    with euler_constant(k)/(k+1) within the two tail bounds.
+    The paper's corollaries state it as C_k/(k+1): the same Euler product as
+    euler_constant(k), with its scale divided by k + 1 and its own certified
+    tail bound. It is not an independent route to C_k.
     """
-    if k not in _COROLLARY_FAMILIES:
+    if k not in (2, 4):
         raise ValueError(f"corollary form exists for k in (2, 4), got {k}")
-    return _assemble(k, _COROLLARY_FAMILIES[k], tol, prime_bound)
+    family = _euler_family(k)
+    return _assemble(k, replace(family, scale=family.scale / (k + 1)), tol)
 
 
-def g_k_table(k: int, limit: int, table: SpfTable | None = None) -> GkCoefficient:
+def g_k_table(k: int, limit: int) -> GkCoefficient:
     """Multiplicative convolution coefficients g_k(n) for n <= limit.
 
     Prime values are phi_k(p) - p^k, as phi_k = id_k * g_k; anything
@@ -491,16 +471,14 @@ def g_k_table(k: int, limit: int, table: SpfTable | None = None) -> GkCoefficien
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     _check_output_bits(k, ((limit, 1),), "g_k_table")
-    values = _multiplicative_table(limit, k, table, lambda p: _phi_k_at_primes(k, p) - p**k, lambda p: 0 * p)
+    values = _multiplicative_table(limit, k, lambda p: _phi_k_at_primes(k, p) - p**k, lambda p: 0 * p)
     return GkCoefficient(k=k, limit=limit, values=tuple(values))
 
 
-def convolution_check(k: int, limit: int, table: SpfTable | None = None) -> ConvolutionReport:
+def convolution_check(k: int, limit: int) -> ConvolutionReport:
     """Verify sum_{d|n} g_k(d) (n/d)^k = phi_k(n) exactly for all n <= limit."""
-    if table is None and limit >= 2:
-        table = build_spf(limit)
-    coeffs = g_k_table(k, limit, table)
-    expected = phi_k_table(k, limit, table=table)
+    coeffs = g_k_table(k, limit)
+    expected = phi_k_table(k, limit)
     powers = [e**k for e in range(limit + 1)]
     acc = [0] * (limit + 1)
     for d in range(1, limit + 1):
@@ -524,12 +502,7 @@ def _error_scale(k: int, x: int) -> float:
     return x**k * r
 
 
-def averaging_report(
-    k: int,
-    xs: list[int],
-    tol: float = 1e-9,
-    table: SpfTable | None = None,
-) -> list[AveragingRow]:
+def averaging_report(k: int, xs: list[int], tol: float = 1e-9) -> list[AveragingRow]:
     """Measure exact partial sums against the main term C_k x^(k+1)/(k+1).
 
     One row per range end: the exact sum, the main term, the relative
@@ -546,7 +519,7 @@ def averaging_report(
         raise ValueError("range ends must be ascending")
     constant = euler_constant(k, tol)
     top = xs[-1]
-    values = phi_k_table(k, top, table=table)
+    values = phi_k_table(k, top)
     rows = []
     with mp.workdps(_WORK_DPS):
         running = 0
@@ -595,16 +568,17 @@ def minimal_order_scan(
         )
     bound = 15 * prime_count  # p_m < m (log m + log log m) with slack
     primes = primes_upto(max(bound, 30))[:prime_count]
-    # the exact ratio gains about k log2 p bits per prime
+    # the output cap of phi_k(n) itself, about k log2 n bits
     _check_output_bits(k, [(p, 1) for p in primes], "minimal_order_scan")
     rows: list[tuple[int, float]] = []
     primorial = 1
-    scaled = Fraction(1)  # phi_k(n) / n^k, exact
     with mp.workdps(_WORK_DPS):
+        scaled = mp.mpf(1)  # phi_k(n) / n^k
+        log_n = mp.mpf(0)
         for count, p in enumerate(primes, start=1):
             primorial *= p
-            scaled *= Fraction(phi_k_prime_power(k, p, 1), p**k)
+            scaled *= mp.mpf(phi_k_prime_power(k, p, 1)) / p**k
+            log_n += mp.log(p)
             if count >= 3:
-                loglog = mp.log(mp.log(mp.mpf(primorial)))
-                rows.append((primorial, float(mp.mpf(scaled.numerator) / scaled.denominator * loglog)))
+                rows.append((primorial, float(scaled * mp.log(log_n))))
     return rows

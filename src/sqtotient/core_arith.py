@@ -15,7 +15,6 @@ from math import gcd, isqrt
 __all__ = [
     "BudgetExceededError",
     "Factorization",
-    "SpfTable",
     "build_spf",
     "factorize",
     "as_factorization",
@@ -29,9 +28,6 @@ __all__ = [
 # Trial division stops at this bound: a cofactor below its square is then
 # prime, and anything larger goes to Miller-Rabin + rho splitting.
 _TRIAL_BOUND = 1000
-
-# The 167 odd primes below the trial bound, the only trial divisors after 2.
-_TRIAL_PRIMES = tuple(d for d in range(3, _TRIAL_BOUND, 2) if all(d % q for q in range(3, isqrt(d) + 1, 2)))
 
 # Witness set is deterministic for all n < 3.317e24, which comfortably covers
 # the 64-bit inputs this package promises to certify.
@@ -95,20 +91,13 @@ class Factorization:
         return tuple(p for p, _ in self.factors)
 
 
-@dataclass(frozen=True)
-class SpfTable:
-    """Smallest-prime-factor table for 2..limit.
+def build_spf(limit: int) -> np.ndarray:
+    """Smallest prime factors of 0..limit, as an int64 array.
 
-    Entry i is the least prime dividing i; spf[p] == p exactly for primes.
-    Memory is 8 bytes per entry (int64); limits above 2^24 are refused.
+    Entry i >= 2 is the least prime dividing i, so spf[p] == p exactly for
+    primes; entries 0 and 1 are 0. Memory is 8 bytes per entry; limits above
+    2^24 are refused before anything is allocated.
     """
-
-    limit: int
-    spf: np.ndarray
-
-
-def build_spf(limit: int) -> SpfTable:
-    """Sieve smallest prime factors for all integers up to ``limit``."""
     import numpy as np
 
     if limit < 2:
@@ -122,7 +111,7 @@ def build_spf(limit: int) -> SpfTable:
             block[block == 0] = p
     untouched = spf[2:] == 0
     spf[2:][untouched] = np.arange(2, limit + 1, dtype=np.int64)[untouched]
-    return SpfTable(limit=limit, spf=spf)
+    return spf
 
 
 def is_prime(n: int) -> bool:
@@ -282,3 +271,7 @@ def primes_upto(limit: int) -> list[int]:
         if prime[p]:
             prime[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
     return list(compress(range(limit + 1), prime))
+
+
+# The 167 odd primes below the trial bound, the only trial divisors after 2.
+_TRIAL_PRIMES = tuple(primes_upto(_TRIAL_BOUND)[1:])

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd, prod
 
 from .core_arith import Factorization, as_factorization, euler_phi, jordan_totient
-from .rho import _check_output_bits, _local_count, even_k_sign, sum_of_squares_census
+from .rho import _check_output_bits, _local_count, sum_of_squares_census
 
 __all__ = [
     "phi_k_brute",
@@ -59,21 +59,16 @@ def phi_k_via_rho(k: int, n: int) -> int:
 
 
 def phi_k_prime_power(k: int, p: int, r: int) -> int:
-    """Exact prime-power value of phi_k."""
+    """Exact prime-power value of phi_k: phi_k(p) p^(k(r - 1))."""
     if k < 1:
         raise ValueError(f"tuple length must be >= 1, got {k}")
     if r < 1:
         raise ValueError(f"exponent must be >= 1, got {r}")
-    if p == 2:
-        return 2 ** (k * r - 1)
-    if k % 2 == 1:
-        return p ** (k * r - 1) * (p - 1)
-    half = k // 2
-    return p ** (k * r - half - 1) * (p - 1) * (p**half - even_k_sign(k, p))
+    return _phi_k_at_primes(k, p) * p ** (k * (r - 1))
 
 
-def _phi_k_at_primes(k: int, p: np.ndarray) -> np.ndarray:
-    """phi_k(p) for an array of primes, in p's dtype (int64 or object)."""
+def _phi_k_at_primes(k: int, p):
+    """phi_k(p) for one prime as a Python int, or for an array of primes in its dtype (int64 or object)."""
     if k % 2:
         return p ** (k - 1) * (p - 1)
     half = k // 2

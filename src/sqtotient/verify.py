@@ -19,7 +19,7 @@ from itertools import repeat
 from math import gcd
 
 from .averaging import convolution_check, phi_k_table
-from .core_arith import BudgetExceededError, build_spf, factorize
+from .core_arith import BudgetExceededError, factorize
 from .menon import menon_classic
 from .phi import phi_k, phi_k_brute, phi_k_via_rho, phi_ratio_check, phi_k_via_jordan
 from .rho import (
@@ -305,8 +305,8 @@ def _identities(limit: int, guard: int) -> list[Check]:
     ]
 
 
-def _convolution_identity(k: int, limit: int, table):
-    report = convolution_check(k, limit, table)
+def _convolution_identity(k: int, limit: int):
+    report = convolution_check(k, limit)
     if not report.ok:
         n, expected, got = report.first_mismatch
         yield f"n={n}: expected {expected}, convolution {got}"
@@ -314,9 +314,8 @@ def _convolution_identity(k: int, limit: int, table):
 
 
 def _convolution(limit: int, guard: int) -> list[Check]:
-    table = build_spf(limit) if limit >= 2 else None  # one sieve for both k
     return [
-        _run(f"convolution identity k={k}", f"n <= {limit}", _convolution_identity(k, limit, table))
+        _run(f"convolution identity k={k}", f"n <= {limit}", _convolution_identity(k, limit))
         for k in (2, 4)
     ]
 
@@ -334,8 +333,9 @@ def _menon_classic(limit: int, guard: int) -> list[Check]:
 # Each suite with the largest limit it accepts where its work grows with
 # the limit: phi counts every n^k census under the guard, menon-classic
 # fills one numpy gcd table of n + 1 entries per n <= limit (O(limit^2)
-# vectorised steps, about 2 s at its cap), and convolution builds a sieve
-# and four tables of limit + 1 entries (about 250 MB peak RSS at its cap).
+# vectorised steps, about 2 s at its cap), and convolution builds four
+# tables of limit + 1 entries, each over its own sieve (about 250 MB peak
+# RSS at its cap).
 # Each cap costs seconds of CPU. rho and identities clamp every bound
 # themselves.
 SUITES = {

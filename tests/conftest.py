@@ -37,10 +37,3 @@ def naive_is_prime(n: int) -> bool:
             return False
         d += 1
     return True
-
-
-@pytest.fixture(scope="session")
-def spf_100k():
-    from sqtotient import build_spf
-
-    return build_spf(100_000)

@@ -2,10 +2,13 @@
 
 import math
 from bisect import bisect_right
+from dataclasses import replace
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
+import sqtotient.averaging as averaging
 from sqtotient import (
     BudgetExceededError,
     build_spf,
@@ -20,6 +23,7 @@ from sqtotient import (
 from sqtotient.averaging import (
     _CHUNK,
     _MAX_PRIMORIAL_PRIMES,
+    _Family,
     _beta_fixed,
     _euler_family,
     _log_coefficients,
@@ -37,9 +41,9 @@ class TestPhiTable:
         assert phi_k_table(3, 1) == [0, 1]
         assert phi_k_table(8, 1) == [0, 1]
 
-    def test_matches_pointwise_evaluation(self, spf_100k):
+    def test_matches_pointwise_evaluation(self):
         for k in range(1, 9):
-            table = phi_k_table(k, 2000, table=spf_100k)
+            table = phi_k_table(k, 2000)
             for n in range(1, 2001):
                 assert table[n] == phi_k(k, n), (k, n)
 
@@ -52,9 +56,9 @@ class TestPhiTable:
         assert partial_sum(1, 1) == 1
         assert partial_sum(2, 3) == 11
 
-    def test_partial_sum_equals_chunked_fold(self, spf_100k):
-        values = phi_k_table(2, 3000, table=spf_100k)
-        assert partial_sum(2, 3000, table=spf_100k) == sum(values)
+    def test_partial_sum_equals_chunked_fold(self):
+        values = phi_k_table(2, 3000)
+        assert partial_sum(2, 3000) == sum(values)
 
 
 class TestSieveWalk:
@@ -75,10 +79,10 @@ class TestSieveWalk:
         # every 97th n, plus the last 2000 entries
         return sorted(set(range(1, limit + 1, 97)) | set(range(max(1, limit - 1999), limit + 1)))
 
-    def test_across_chunk_boundaries(self, spf_100k):
+    def test_across_chunk_boundaries(self):
         limit = 70_000  # many chunks, ending inside the block [2^16, 2^17)
-        phi = phi_k_table(2, limit, table=spf_100k)
-        g = g_k_table(2, limit, table=spf_100k).values
+        phi = phi_k_table(2, limit)
+        g = g_k_table(2, limit).values
         assert len(phi) == len(g) == limit + 1
         edges = [n + d for n in range(_CHUNK, limit, _CHUNK) for d in (-1, 0, 1)]
         assert 2**16 in edges
@@ -114,13 +118,6 @@ class TestSieveWalk:
             for n in ns:
                 assert table[n] == phi_k(k, n), (k, n)
 
-    def test_passed_table(self, spf_100k):
-        # a larger sieve is read as it is; a smaller one is replaced
-        for k in (3, 6):
-            assert phi_k_table(k, 5000, table=spf_100k) == phi_k_table(k, 5000)
-        assert g_k_table(6, 5000, table=spf_100k) == g_k_table(6, 5000)
-        assert phi_k_table(2, 5000, table=build_spf(100)) == phi_k_table(2, 5000)
-
     def test_every_element_is_an_int(self):
         for k, limit in ((1, 3000), (4, 55_108), (4, 55_109), (9, 3000)):
             assert all(type(v) is int for v in phi_k_table(k, limit)), (k, limit)
@@ -148,16 +145,13 @@ class TestEulerConstant:
             with pytest.raises(BudgetExceededError, match="working precision") as info:
                 constant(2, 1e-200)
             assert info.value.required == 210
-        # a pinned prime bound still meets the sieve guard before any sieve
-        with pytest.raises(BudgetExceededError, match="sieve limit"):
-            euler_constant(4, prime_bound=2**40)
-        with pytest.raises(ValueError):
-            euler_constant(2, prime_bound=5)  # below twice the root bound 3
 
-    def test_monotone_refinement(self):
+    def test_monotone_refinement(self, monkeypatch):
         for k in (2, 4, 6):
             constant = euler_constant(k, 1e-9)
-            doubled = euler_constant(k, 1e-9, prime_bound=2 * constant.prime_bound)
+            with monkeypatch.context() as patch:
+                patch.setattr(averaging, "_DEFAULT_PRIME_BOUND", 2 * constant.prime_bound)
+                doubled = euler_constant(k, 1e-9)
             assert abs(doubled.value - constant.value) < constant.tail_bound
 
     def test_matches_plain_truncated_product(self):
@@ -177,7 +171,7 @@ class TestEulerConstant:
                 plain = mp.mpf(3) / 4 * mp.exp(acc)
             assert abs(euler_constant(k, 1e-9).value - plain) < 4e-7
 
-    def test_default_agrees_with_the_explicit_product_to_2_17(self):
+    def test_default_agrees_with_the_explicit_product_to_2_17(self, monkeypatch):
         # at P = 2^17 about 12,000 primes are multiplied explicitly and the
         # tail series adds little; at the default P = 64 the series carries it
         cases = [(euler_constant, k) for k in (2, 4, 6, 10)]
@@ -185,7 +179,9 @@ class TestEulerConstant:
         with mp.workdps(40):
             for constant, k in cases:
                 default = constant(k, 1e-9)
-                explicit = constant(k, 1e-9, prime_bound=2**17)
+                with monkeypatch.context() as patch:
+                    patch.setattr(averaging, "_DEFAULT_PRIME_BOUND", 2**17)
+                    explicit = constant(k, 1e-9)
                 assert (default.prime_bound, explicit.prime_bound) == (64, 2**17)
                 gap = abs(default.value - explicit.value)
                 assert gap <= default.tail_bound + explicit.tail_bound, (constant.__name__, k)
@@ -241,6 +237,20 @@ class TestEulerConstant:
             difference = abs((k + 1) * split_form.value - direct.value)
             assert difference <= 1e-8
             assert difference <= 2 * (direct.tail_bound + (k + 1) * split_form.tail_bound)
+
+    def test_corollary_families_are_the_residue_class_forms(self):
+        # the residue-class product forms of the two corollaries, written out
+        # with x = 1/p and s = chi_4(p). k = 2 splits over p mod 4:
+        # (1 - 2x^2 + x^3)/(1 - x^2)^2 at p = 1 and (1 - x^3)/(1 - x^4) at
+        # p = 3, one formula in s; k = 4 is
+        # (1 - x^2 - x^3 + x^4)/((1 - x^2)(1 - x^3)) at every p
+        forms = {
+            2: _Family(Fraction(1, 4), ((2, -1, -1), (3, 0, 1)), ((2, 0), (2, 1)), 3),
+            4: _Family(Fraction(3, 20), ((2, -1, 0), (3, -1, 0), (4, 1, 0)), ((2, 0), (3, 0)), 4),
+        }
+        for k, form in forms.items():
+            family = _euler_family(k)
+            assert replace(family, scale=family.scale / (k + 1)) == form, k
 
     def test_corollary_prefactors(self):
         # leading coefficients 1/4 and 3/20 of the two displayed asymptotics
@@ -317,8 +327,8 @@ class TestAveragingReport:
         with pytest.raises(ValueError):
             averaging_report(1, [100, 10])
 
-    def test_rows_share_exact_sums(self, spf_100k):
-        rows = averaging_report(1, [100, 1000], table=spf_100k)
+    def test_rows_share_exact_sums(self):
+        rows = averaging_report(1, [100, 1000])
         assert rows[0].partial_sum == partial_sum(1, 100)
         assert rows[1].partial_sum == partial_sum(1, 1000)
 
@@ -330,6 +340,24 @@ class TestMinimalOrder:
         assert rows[0][1] == pytest.approx(0.3264, abs=2e-3)
         assert rows[1][1] == pytest.approx(0.3833, abs=2e-3)
         assert rows[2][1] == pytest.approx(0.4254, abs=2e-3)
+
+    def test_matches_the_exact_product(self):
+        # the scan's 30-digit product against phi_k(n)/n^k kept as an exact
+        # Fraction, with log log n taken from the primorial itself
+        primes = primes_upto(15 * 300)[:300]
+        for k in (1, 2, 3):
+            rows = minimal_order_scan(k, 300, experimental=True)
+            scaled, primorial, expected = Fraction(1), 1, []
+            with mp.workdps(30):
+                for count, p in enumerate(primes, start=1):
+                    primorial *= p
+                    scaled *= Fraction(phi_k(k, p), p**k)
+                    if count >= 3:
+                        loglog = mp.log(mp.log(mp.mpf(primorial)))
+                        expected.append((primorial, float(mp.mpf(scaled.numerator) / scaled.denominator * loglog)))
+            assert [n for n, _ in rows] == [n for n, _ in expected], k
+            for (n, got), (_, want) in zip(rows, expected):
+                assert got == pytest.approx(want, rel=1e-15), (k, n)
 
     def test_ratio_is_scaled_totient(self):
         for n, ratio in minimal_order_scan(3, 6):

@@ -6,6 +6,7 @@ import time
 import tracemalloc
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,10 +25,11 @@ from conftest import naive_is_prime
 
 class TestSpfTable:
     def test_examples(self):
-        table = build_spf(10)
-        assert table.spf[9] == 3
-        assert table.spf[7] == 7
-        assert build_spf(100).spf[91] == 7  # 91 = 7 * 13 by trial division
+        spf = build_spf(10)
+        assert spf[9] == 3
+        assert spf[7] == 7
+        assert build_spf(100)[91] == 7  # 91 = 7 * 13 by trial division
+        assert (len(spf), spf.dtype) == (11, np.int64)
 
     def test_rejects_tiny_limit(self):
         with pytest.raises(ValueError):
@@ -39,9 +41,9 @@ class TestSpfTable:
         assert (info.value.required, info.value.budget) == (2**24 + 1, 2**24)
 
     def test_invariants(self):
-        table = build_spf(2000)
+        spf = build_spf(2000)
         for i in range(2, 2001):
-            p = int(table.spf[i])
+            p = int(spf[i])
             assert i % p == 0
             assert naive_is_prime(p)
             assert p * p <= i or p == i

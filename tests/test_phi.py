@@ -96,6 +96,20 @@ class TestPrimePower:
             for k in range(1, 4):
                 assert phi_k_prime_power(k, p, r) == naive_phi_k(k, p**r)
 
+    def test_matches_the_displayed_formula(self):
+        # the three cases of the module docstring, written out on their own
+        for k in range(1, 40):
+            for p in primes_upto(300):
+                for r in (1, 2, 3):
+                    if p == 2:
+                        want = 2 ** (k * r - 1)
+                    elif k % 2:
+                        want = p ** (k * r - 1) * (p - 1)
+                    else:
+                        want = p ** (k * r - k // 2 - 1) * (p - 1) * (p ** (k // 2) - even_k_sign(k, p))
+                    got = phi_k_prime_power(k, p, r)
+                    assert type(got) is int and got == want, (k, p, r)
+
     def test_array_form_at_primes(self):
         # the array form serves the table walk in int64 (while p^k < 2^63)
         # and in Python ints; g_k(p) = phi_k(p) - p^k is the convolution
