@@ -8,6 +8,7 @@ computation.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import sys
 from dataclasses import fields
@@ -18,20 +19,21 @@ import click
 from . import averaging, menon, verify
 from .core_arith import BudgetExceededError, _check_sieve_limit
 from .phi import phi_k
-from .reporting import FORMATS, render
-from .rho import MAX_OUTPUT_BITS, _check_output_bits, rho
+from .reporting import FORMATS, _int_str, write_rows
+from .rho import _check_output_bits, rho
 
 INT64_MAX = 2**63 - 1
 
 # The type of every integer option but -l, which starts at 0.
 POSITIVE = click.IntRange(1, INT64_MAX)
 
-# Largest x (k log2 x + 1024) that `phi --range x` renders. Building and
-# rendering the rows took at most about 1.3 bytes per unit of it over a
-# 30 MB base in every format: about 1.4 KB per row at small k, plus about
-# one byte per bit of phi_k. At the largest x admitted, the peak RSS
-# measured 719 MB at k = 8 (x = 456,522, JSON; CSV 206 MB), 748 MB at
-# k = 1 (x = 514,737, JSON) and 619 MB at k = 1000 (x = 32,767, plain).
+# Largest x (k log2 x + 1024) that `phi --range x` renders. The rows are
+# streamed, so the memory is the table itself in CSV and JSON, and the
+# table plus every cell string in plain text, which aligns its columns:
+# at most about 0.42 bytes per unit of it. At the largest x admitted, the
+# peak RSS measured 59 MB at k = 8 (x = 456,522, JSON and CSV; 188 MB
+# plain), 54 MB at k = 1 (x = 514,737, JSON) and 226 MB at k = 1000
+# (x = 32,767, plain; 90 MB in CSV and JSON).
 MAX_RANGE_OUTPUT = 1 << 29
 
 
@@ -75,31 +77,43 @@ def guard_errors(command):
     return wrapped
 
 
-def _emit(text: str, out: str | None):
+@contextlib.contextmanager
+def _output(out: str | None):
+    """Stdout, or the ``--out`` file, opened only when the caller writes.
+
+    Every guard runs before this, so a refusal leaves the file untouched.
+    """
     if out is None:
-        click.echo(text, nl=False)
+        stream = click.get_text_stream("stdout")
+        yield stream
+        stream.flush()
         return
     try:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            yield handle
     except OSError as exc:
         click.echo(f"error: cannot write {out}: {exc}", err=True)
         sys.exit(1)
+
+
+def _emit(rows, columns: list[str], fmt: str, meta: bool, out: str | None):
+    with _output(out) as stream:
+        write_rows(stream, rows, columns, fmt, meta)
 
 
 def _fields(row_type) -> list[str]:
     return [field.name for field in fields(row_type)]
 
 
+def _emit_dataclasses(rows, row_type, fmt: str, meta: bool, out: str | None):
+    columns = _fields(row_type)
+    _emit(([getattr(row, col) for col in columns] for row in rows), columns, fmt, meta, out)
+
+
 @click.group()
 @click.version_option(package_name="sqtotient")
 def main():
     """Exact counts of tuples with invertible square sums modulo n."""
-    # Python refuses to print an int of more than 4300 digits by default
-    # (since 3.10.7); every count the output-size guard lets through must
-    # still print
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(MAX_OUTPUT_BITS // 3 + 2)
 
 
 @main.command("phi")
@@ -117,17 +131,18 @@ def phi_command(k, n, range_end, fmt, out, no_meta):
         value = phi_k(k, n)
         if fmt == "plain":
             # scalar answers stay bare so they can be piped directly
-            _emit(f"{value}\n", out)
+            with _output(out) as stream:
+                stream.write(_int_str(value) + "\n")
         else:
-            _emit(render([{"k": k, "n": n, "phi": value}], ["k", "n", "phi"], fmt, meta), out)
+            _emit([(k, n, value)], ["k", "n", "phi"], fmt, meta, out)
         return
     # the table's own refusals keep their precedence over the output budget
     _check_output_bits(k, ((range_end, 1),), "phi_k_table")
     _check_sieve_limit(range_end, "multiplicative table")
     _check_range_output(k, range_end)
     values = averaging.phi_k_table(k, range_end)
-    rows = [{"k": k, "n": n_, "phi": values[n_]} for n_ in range(1, range_end + 1)]
-    _emit(render(rows, ["k", "n", "phi"], fmt, meta), out)
+    rows = ((k, n_, values[n_]) for n_ in range(1, range_end + 1))
+    _emit(rows, ["k", "n", "phi"], fmt, meta, out)
 
 
 @main.command("rho")
@@ -141,10 +156,10 @@ def rho_command(k, lam, n, fmt, out, no_meta):
     path = "formula" if gcd(lam, n) == 1 else "descent"
     value = rho(k, lam, n)
     if fmt == "plain":
-        _emit(f"{value} ({path})\n", out)
+        with _output(out) as stream:
+            stream.write(f"{_int_str(value)} ({path})\n")
         return
-    rows = [{"k": k, "lambda": lam, "n": n, "rho": value, "path": path}]
-    _emit(render(rows, ["k", "lambda", "n", "rho", "path"], fmt, not no_meta), out)
+    _emit([(k, lam, n, value, path)], ["k", "lambda", "n", "rho", "path"], fmt, not no_meta, out)
 
 
 @main.command("verify")
@@ -156,11 +171,8 @@ def rho_command(k, lam, n, fmt, out, no_meta):
 def verify_command(suite, limit, max_enum, fmt, out, no_meta):
     """Run a property suite; exit 0 only if every check passes."""
     result = verify.run_suite(suite, limit, guard=max_enum)
-    rows = [
-        {"suite": result.suite, "check": c.name, "ok": c.ok, "detail": c.detail}
-        for c in result.checks
-    ]
-    _emit(render(rows, ["suite", "check", "ok", "detail"], fmt, not no_meta), out)
+    rows = [(result.suite, c.name, c.ok, c.detail) for c in result.checks]
+    _emit(rows, ["suite", "check", "ok", "detail"], fmt, not no_meta, out)
     if not result.ok:
         sys.exit(1)
 
@@ -189,7 +201,7 @@ def report_command(kind, k, xs, tol, prime_count, experimental, nmax, bound, fmt
         except ValueError as exc:
             raise click.UsageError(f"--xs must be comma-separated integers: {exc}")
         rows = averaging.averaging_report(k or 1, ends, tol=tol)
-        _emit(render([vars(r) for r in rows], _fields(averaging.AveragingRow), fmt, meta), out)
+        _emit_dataclasses(rows, averaging.AveragingRow, fmt, meta, out)
         return
 
     if kind == "constants":
@@ -197,30 +209,25 @@ def report_command(kind, k, xs, tol, prime_count, experimental, nmax, bound, fmt
         forms = {"euler_product": averaging.euler_constant(k, tol)}
         if k in (2, 4):
             forms["corollary_product"] = averaging.corollary_constant(k, tol)
-        records = [{"form": form, **vars(c)} for form, c in forms.items()]
-        _emit(render(records, ["form", *_fields(averaging.EulerConstant)], fmt, meta), out)
+        columns = _fields(averaging.EulerConstant)
+        records = [[form, *(getattr(c, col) for col in columns)] for form, c in forms.items()]
+        _emit(records, ["form", *columns], fmt, meta, out)
         return
 
     if kind == "minimal-order":
         rows = averaging.minimal_order_scan(k or 1, prime_count, experimental=experimental)
-        records = [
-            {"primes": i, "primorial": n, "ratio": ratio}
-            for i, (n, ratio) in enumerate(rows, start=3)
-        ]
-        _emit(render(records, ["primes", "primorial", "ratio"], fmt, meta), out)
+        records = [(i, n, ratio) for i, (n, ratio) in enumerate(rows, start=3)]
+        _emit(records, ["primes", "primorial", "ratio"], fmt, meta, out)
         return
 
     if kind == "menon":
         rows = menon.psi_table(k or 2, nmax)
-        _emit(render([vars(r) for r in rows], _fields(menon.MenonRow), fmt, meta), out)
+        _emit_dataclasses(rows, menon.MenonRow, fmt, meta, out)
         return
 
     rows = menon.psi_multiplicativity_scan(k or 2, bound)
-    records = [
-        {"m": r.m, "n": r.n, "psi_m_psi_n": r.separate, "psi_mn": r.combined, "equal": r.equal}
-        for r in rows
-    ]
-    _emit(render(records, ["m", "n", "psi_m_psi_n", "psi_mn", "equal"], fmt, meta), out)
+    records = [(r.m, r.n, r.separate, r.combined, r.equal) for r in rows]
+    _emit(records, ["m", "n", "psi_m_psi_n", "psi_mn", "equal"], fmt, meta, out)
 
 
 if __name__ == "__main__":

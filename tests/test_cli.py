@@ -1,6 +1,7 @@
 """Command-line contract: values, formats, determinism, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -16,6 +17,7 @@ from click.testing import CliRunner
 
 import sqtotient
 from sqtotient.cli import INT64_MAX, MAX_RANGE_OUTPUT, _check_range_output, main
+from sqtotient.phi import phi_k
 from sqtotient.rho import trig_closed_form_rho8
 
 
@@ -383,6 +385,64 @@ class TestOutputContract:
         missing_dir = tmp_path / "absent" / "report.csv"
         result = run(runner, "phi", "-k", "1", "-n", "3", "--out", str(missing_dir))
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize(
+        "args",
+        [["phi", "-k", "8", "--range", "456523"], ["report", "menon", "-k", "2", "--nmax", "4097"]],
+        ids=["phi --range", "report menon"],
+    )
+    def test_refusal_leaves_out_untouched(self, runner, tmp_path, args):
+        existing, absent = tmp_path / "existing.txt", tmp_path / "absent.txt"
+        existing.write_text("kept\n")
+        for target in (existing, absent):
+            result = run(runner, *args, "--out", str(target))
+            assert result.exit_code == 3
+        assert existing.read_text() == "kept\n"
+        assert not absent.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [["phi", "-k", "3", "--range", "20000"], ["report", "menon", "-k", "2", "--nmax", "2000"]],
+        ids=["phi --range", "report menon"],
+    )
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_write_failures_exit_one(self, runner, tmp_path, args, fmt):
+        targets = [tmp_path / "absent" / "report.txt"]
+        if os.path.exists("/dev/full"):
+            # opens, then fails with ENOSPC once the first chunk reaches it
+            targets.append(Path("/dev/full"))
+        for target in targets:
+            result = run(runner, *args, "--format", fmt, "--out", str(target))
+            assert result.exit_code == 1
+            assert f"error: cannot write {target}: " in result.output
+            assert "Traceback" not in result.output
+
+    def test_menon_report_bytes_at_its_largest_k(self, runner):
+        # the digest of the build-then-join renderer's output, which
+        # converted the 300,000-bit counts with str()
+        started = time.process_time()
+        result = run(runner, "report", "menon", "-k", "65536", "--nmax", "22", "--format", "json", "--no-meta")
+        assert result.exit_code == 0
+        digest = hashlib.sha256(result.output.encode()).hexdigest()
+        assert digest == "fd4625ac722f18475efe9357dbf9bf327ccbabec499e7d2b11d1ad74fe4bdf93"
+        assert time.process_time() - started < 2.5  # 3.5 s with str()
+
+    def test_range_output_streams(self, runner, tmp_path):
+        # rows go to the file as they are rendered: the build-then-join
+        # renderer peaked at 89 MB of traced memory here, 4 MB streaming
+        import numpy  # noqa: F401  (loaded before tracing starts)
+
+        target = tmp_path / "table.json"
+        tracemalloc.start()
+        try:
+            result = run(runner, "phi", "-k", "5", "--range", "65568", "--format", "json", "--no-meta", "--out", str(target))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0
+        rows = json.loads(target.read_text())["rows"]
+        assert len(rows) == 65568 and rows[-1] == {"k": "5", "n": "65568", "phi": str(phi_k(5, 65568))}
+        assert peak < 16 * 10**6
 
 
 class TestImportContract:
