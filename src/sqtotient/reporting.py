@@ -7,11 +7,12 @@ keep their shortest round-trip form, booleans map to true/false. Output
 is byte-deterministic except for the optional generation-time header.
 
 ``write_rows`` streams: it takes rows as sequences in column order and
-writes each CSV and JSON row as it arrives, in the bytes ``csv.writer``
-and ``json.dumps(..., indent=2)`` give, passing the text on to the stream
-in chunks of 64 Ki characters. Plain text aligns its columns, so it holds
-the cell strings, but not the text, until every row has arrived.
-``render`` is ``write_rows`` into a string.
+writes CSV through ``csv.writer`` row by row, and JSON through
+``json.dumps`` in batches of 4,096 rows, in the bytes that
+``json.dumps(document, indent=2)`` gives for the whole document. The
+stream's own buffering decides when text reaches the file or pipe. Plain
+text aligns its columns, so it holds the cell strings, but not the text,
+until every row has arrived. ``render`` is ``write_rows`` into a string.
 
 Every integer goes to decimal through ``_int_str``. Below 2^13 bits
 (2,467 digits, under the interpreter's default limit of 4,300 digits for
@@ -33,7 +34,7 @@ import io
 import json
 from datetime import datetime, timezone
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
+from itertools import islice
 
 __all__ = ["render", "write_rows"]
 
@@ -45,9 +46,10 @@ _STR_BITS = 1 << 13
 _STR_BOUND = 1 << _STR_BITS
 _LEAF_BITS = 1 << 11
 
-# characters collected before one write to the stream: a line-buffered
-# stream (click's stdout) would otherwise take a system call per row
-_CHUNK_CHARS = 1 << 16
+# rows per json.dumps call: each call sets up the pure-Python encoder that
+# indent= needs, and one call per row took phi -k 5 --range 65568 from 0.38
+# to 0.96 s of CPU in the writer (2-vCPU VM, Python 3.11.7)
+_JSON_BATCH_ROWS = 1 << 12
 
 _EXACT = decimal.Context(
     prec=decimal.MAX_PREC,
@@ -93,8 +95,8 @@ def _int_str(n: int) -> str:
 
 
 def _cell(value) -> str:
-    if type(value) is int:  # most cells: str() at once below the threshold
-        return str(value) if -_STR_BOUND < value < _STR_BOUND else _int_str(value)
+    if type(value) is int:  # most cells, so tested first
+        return _int_str(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
@@ -113,59 +115,36 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _json_cell(value) -> str:
-    """The JSON text of one cell: a number for floats and reals, else a string."""
-    if type(value) is int:
-        return f'"{_cell(value)}"'  # digits need no escaping
+def _json_value(value):
     if isinstance(value, bool):
-        return "true" if value else "false"
+        return value
     if isinstance(value, float):
-        return json.dumps(value)
+        return value
     if hasattr(value, "_mpf_"):  # an mpmath real
-        return json.dumps(float(value))
-    return encode_basestring_ascii(_cell(value))
+        return float(value)
+    return _cell(value)
 
 
 def _meta_line() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-class _Chunked:
-    """A text sink that passes writes on to ``stream`` in chunks."""
-
-    def __init__(self, stream):
-        self.stream = stream
-        self.parts: list[str] = []
-        self.size = 0
-
-    def write(self, text: str) -> None:
-        self.parts.append(text)
-        self.size += len(text)
-        if self.size >= _CHUNK_CHARS:
-            self.flush()
-
-    def flush(self) -> None:
-        self.stream.write("".join(self.parts))
-        self.parts.clear()
-        self.size = 0
-
-
 def _write_json(stream, rows, columns, meta):
     # the bytes of json.dumps({"generated": ..., "rows": [...]}, indent=2)
     stream.write("{\n")
     if meta:
-        stream.write(f'  "generated": {encode_basestring_ascii(_meta_line())},\n')
+        stream.write(f'  "generated": {json.dumps(_meta_line())},\n')
     stream.write('  "rows": [')
-    # each row is "    {" + keys[0] + cell + keys[1] + cell ... + close
-    keys = [(",\n      " if i else "\n      ") + encode_basestring_ascii(col) + ": " for i, col in enumerate(columns)]
-    close = "\n    }" if columns else "}"
-    separator = "\n"
-    for row in rows:
-        cells = "".join([key + _json_cell(value) for key, value in zip(keys, row)])
-        stream.write(separator + "    {" + cells + close)
-        separator = ",\n"
+    rows = iter(rows)
+    separator = "\n    "
+    while batch := list(islice(rows, _JSON_BATCH_ROWS)):
+        text = json.dumps([dict(zip(columns, map(_json_value, row))) for row in batch], indent=2)
+        # drop the list's "[\n  " and "\n]" and indent it one level deeper;
+        # json escapes newlines inside strings, so only structural ones move
+        stream.write(separator + text[4:-2].replace("\n", "\n  "))
+        separator = ",\n    "
     # an empty list is "[]", a non-empty one closes on its own line
-    stream.write("]\n}\n" if separator == "\n" else "\n  ]\n}\n")
+    stream.write("]\n}\n" if separator == "\n    " else "\n  ]\n}\n")
 
 
 def _write_csv(stream, rows, columns):
@@ -185,17 +164,15 @@ def write_rows(stream, rows, columns: list[str], fmt: str, meta: bool) -> None:
     """Write rows (sequences in the order of ``columns``) to a text stream."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
-    sink = _Chunked(stream)
     if fmt == "json":
-        _write_json(sink, rows, columns, meta)
+        _write_json(stream, rows, columns, meta)
+        return
+    if meta:
+        stream.write(f"# generated: {_meta_line()}\n")
+    if fmt == "csv":
+        _write_csv(stream, rows, columns)
     else:
-        if meta:
-            sink.write(f"# generated: {_meta_line()}\n")
-        if fmt == "csv":
-            _write_csv(sink, rows, columns)
-        else:
-            _write_plain(sink, rows, columns)
-    sink.flush()
+        _write_plain(stream, rows, columns)
 
 
 def render(rows: list[dict], columns: list[str], fmt: str, meta: bool) -> str:

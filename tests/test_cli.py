@@ -409,7 +409,7 @@ class TestOutputContract:
     def test_write_failures_exit_one(self, runner, tmp_path, args, fmt):
         targets = [tmp_path / "absent" / "report.txt"]
         if os.path.exists("/dev/full"):
-            # opens, then fails with ENOSPC once the first chunk reaches it
+            # opens, then fails with ENOSPC once the first buffer is flushed to it
             targets.append(Path("/dev/full"))
         for target in targets:
             result = run(runner, *args, "--format", fmt, "--out", str(target))
