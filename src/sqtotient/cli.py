@@ -84,13 +84,9 @@ def _output(out: str | None):
     Every guard runs before this, so a refusal leaves the file untouched.
     """
     if out is None:
-        # sys.stdout is block-buffered on a pipe. click.get_text_stream
-        # re-wraps it line-buffered when its error handler is not "strict"
-        # (Python's default under the C or POSIX locale), and a system call
-        # per row took phi -k 5 --range 65568 --format csv into a pipe from
-        # 0.57 to 0.82 s of CPU (2-vCPU VM, Python 3.11.7, medians of 12)
-        yield sys.stdout
-        sys.stdout.flush()
+        stream = click.get_text_stream("stdout")
+        yield stream
+        stream.flush()
         return
     try:
         with open(out, "w", encoding="utf-8") as handle:

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import sqtotient
 from sqtotient.cli import main
-from sqtotient.reporting import _JSON_BATCH_ROWS, _LEAF_BITS, _STR_BITS, _int_str, render, write_rows
+from sqtotient.reporting import _BATCH_ROWS, _LEAF_BITS, _STR_BITS, _int_str, render, write_rows
 
 VALUES = [mp.mpf(1) / 3, mp.mpf(2) ** -40, -mp.pi, mp.mpf(0)]
 
@@ -188,9 +188,9 @@ class TestStreamingWriter:
         self.check(fmt, ["x", "y"], [[10**5000, Fraction(10**4400, 3)], [-(10**5000) + 1, Fraction(-1, 10**4301)]])
 
     @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
-    def test_across_json_batches(self, fmt):
-        # the property draws at most five rows; JSON is dumped in batches
-        rows = [[n, Fraction(n, 3), f"r{n}"] for n in range(2 * _JSON_BATCH_ROWS + 1)]
+    def test_across_batches(self, fmt):
+        # the property draws at most five rows; CSV and JSON are written in batches
+        rows = [[n, Fraction(n, 3), f"r{n}"] for n in range(2 * _BATCH_ROWS + 1)]
         self.check(fmt, ["n", "third", "label"], rows)
 
     @staticmethod
