@@ -7,7 +7,7 @@ keep their shortest round-trip form, booleans map to true/false. Output
 is byte-deterministic except for the optional generation-time header.
 
 ``write_rows`` streams: it takes rows as sequences in column order and
-writes them to the stream in batches of 4,096 rows. CSV and JSON write
+writes them to the stream in batches of 1,024 rows. CSV and JSON write
 each batch as it arrives, formatted by ``csv.writer`` or by
 ``json.dumps``, in the bytes that ``json.dumps(document, indent=2)``
 gives for the whole document. Plain text aligns its columns, so it holds
@@ -51,8 +51,10 @@ _LEAF_BITS = 1 << 11
 # per row took the writer from 0.38 to 0.96 s of CPU, and one write per
 # CSV row into a block-buffered pipe from 0.12 to 0.21 s. click's stdout
 # is line-buffered when stdout's error handler is not "strict" (under the
-# C or POSIX locale), and there a write per row is a system call per row
-_BATCH_ROWS = 1 << 12
+# C or POSIX locale), and there a write per row is a system call per row.
+# A batch holds its text: with 4,096 rows, phi -k 1000 --range 32767 (15,000-
+# bit values) peaked at 143-164 MB of RSS in CSV and JSON, 100-108 MB here
+_BATCH_ROWS = 1 << 10
 
 _EXACT = decimal.Context(
     prec=decimal.MAX_PREC,
