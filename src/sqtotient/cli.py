@@ -30,10 +30,10 @@ POSITIVE = click.IntRange(1, INT64_MAX)
 # Largest x (k log2 x + 1024) that `phi --range x` renders. The rows are
 # streamed, so the memory is the table itself in CSV and JSON, and the
 # table plus every cell string in plain text, which aligns its columns:
-# at most about 0.42 bytes per unit of it. At the largest x admitted, the
-# peak RSS measured 59 MB at k = 8 (x = 456,522, JSON and CSV; 188 MB
-# plain), 54 MB at k = 1 (x = 514,737, JSON) and 226 MB at k = 1000
-# (x = 32,767, plain; 90 MB in CSV and JSON).
+# at most about 0.44 bytes per unit of it. At the largest x admitted, the
+# peak RSS measured 59 MB at k = 8 (x = 456,522, JSON and CSV; 191 MB
+# plain), 54 MB at k = 1 (x = 514,737, JSON) and 237 MB at k = 1000
+# (x = 32,767, plain; 100-108 MB in CSV and JSON).
 MAX_RANGE_OUTPUT = 1 << 29
 
 

@@ -60,9 +60,9 @@ __all__ = [
 # k <= 64 the bound goes up to 2^12: report menon there takes 0.2-0.25 s
 # of CPU on a 2-vCPU VM (5.1 s at k = 64 with the per-unit sums), and
 # report menon-mult -k 3 0.31 s. At the cap for k from 128 to 1000 it
-# takes about 0.3 s; at k = 65536 (bound 22), 0.73-0.77 s in JSON, most of
-# it converting integers of about 300,000 bits to decimal (3.3-3.4 s when
-# they were printed with str()).
+# takes about 0.3 s; at k = 65536 (bound 22), 0.84-1.18 s in JSON, most of
+# it converting integers of about 300,000 bits to decimal (3.5-3.8 s in the
+# same five alternating runs when they were printed with str()).
 _MAX_SCAN_WORK = 1 << 30
 
 
