@@ -8,9 +8,12 @@ with
 
 s_p = (-1)^(k(p-1)/4). The tables are exact integers, built from the
 values at primes and the constant ratio f(p^(e+1))/f(p^e) by one SPF
-sieve and a multiplicative walk that fills whole chunks of n at once in
-numpy (int64 while limit^k < 2^63, Python ints above); the constants are
-high-precision reals within a certified bound of the true value.
+sieve and a division-free fill, a few numpy steps per prime power p^e
+with p <= sqrt(limit) (int64 while limit^k < 2^63, Python ints above).
+Partial sums, average-order reports and the convolution check read these
+arrays directly; only phi_k_table and g_k_table convert them to Python
+ints. The constants are high-precision reals within a certified bound of
+the true value.
 
 A plainly truncated product converges like 1/(P log P). Instead each
 constant is evaluated by Cohen's method (H. Cohen, "High precision
@@ -121,28 +124,26 @@ class ConvolutionReport:
     first_mismatch: tuple[int, int, int] | None  # (n, expected phi_k, convolution)
 
 
-# Entries per vectorised chunk of the sieve walk. Each chunk temporary
-# (8 bytes per entry, 64 KiB here) stays below glibc's 128 KiB mmap
-# threshold, so the chunks reuse one patch of heap; larger ones are mapped,
-# and freeing a mapped block raises the threshold, which leaves later freed
-# blocks resident and adds to peak RSS.
-_CHUNK = 1 << 13
+# Entries per numpy step of the table fill and the convolution check. Each
+# temporary stays within 64 KiB, under glibc's 128 KiB mmap threshold, so
+# the steps reuse one patch of heap; freeing larger mapped blocks raises
+# the threshold and leaves later ones resident (whole-range steps added
+# about 2 MB to peak RSS at limit 10^6).
+_BLOCK = 1 << 13
 
 
-def _multiplicative_table(limit: int, k: int, at_primes, ratio) -> list[int]:
+def _multiplicative_table(limit: int, k: int, at_primes, ratio) -> np.ndarray:
     """values[n] = f(n) for n <= limit, f multiplicative and given at primes.
 
     ``at_primes`` maps an array of primes, in the table's dtype, to f(p);
-    ``ratio`` maps one to r(p) with f(p^(e+1)) = r(p) f(p^e) for e >= 1.
-    With p = spf[n] and m = n / p, f(n) is f(m) r(p) when p divides m and
-    f(m) f(p) otherwise, and m, like p when n is composite, is at most n/2.
-    So n is walked in chunks of _CHUNK entries, each filled by numpy: the
-    chunk's primes by one call of ``at_primes``, every other entry by one
-    gather per dyadic block [2^j, 2^(j+1)) that the chunk meets, since the
-    blocks below it are already filled. |f(n)| <= n^k is required, which
-    keeps the table in int64 while limit^k < 2^63 and in exact Python ints
-    above. Slot 0 is a placeholder. A limit above the sieve cap is refused
-    before anything is allocated, and the SPF sieve is built here.
+    ``ratio`` maps one prime (an int) to r(p), f(p^(e+1)) = r(p) f(p^e).
+    A composite n is p^e m in exactly one way with p = spf(n) and
+    spf(m) > p, m = 1 included. So after the primes, the primes
+    p <= sqrt(limit) are taken from the largest down, and each power q = p^e
+    sets values[q m] = f(q) values[m] for all those m, whose entries are
+    final by then; nothing is divided. |f(n)| <= n^k keeps the table in
+    int64 while limit^k < 2^63 and in Python ints above. Slot 0 is 0. A
+    limit over the sieve cap is refused before anything is allocated.
     """
     import numpy as np
 
@@ -150,41 +151,30 @@ def _multiplicative_table(limit: int, k: int, at_primes, ratio) -> list[int]:
     dtype = np.int64 if limit**k < 2**63 else object
     values = np.zeros(limit + 1, dtype=dtype)
     values[1] = 1
-    if limit >= 2:
-        spf = build_spf(limit)
-        # a composite n <= limit has spf[n] <= isqrt(limit)
-        ratios = ratio(np.arange(math.isqrt(limit) + 1).astype(dtype))
-        for lo in range(0, limit + 1, _CHUNK):
-            _fill_chunk(values, spf, max(lo, 2), min(lo + _CHUNK, limit + 1), at_primes, ratios)
-        del spf  # frees the sieve before the list is allocated
-    return values.tolist()
+    if limit < 2:
+        return values
+    spf = build_spf(limit)
+    for lo in range(2, limit + 1, _BLOCK):
+        hi = min(lo + _BLOCK, limit + 1)
+        primes = lo + (spf[lo:hi] == np.arange(lo, hi)).nonzero()[0]
+        values[primes] = at_primes(primes.astype(dtype, copy=False))
+    spf[1] = limit + 1  # m = 1 passes every spf(m) > p test
+    for p in reversed(primes_upto(math.isqrt(limit))):
+        q, fq, r = p, int(values[p]), ratio(p)
+        while q <= limit and fq:  # f(q) = 0 leaves its entries at 0
+            top = limit // q
+            if top > p:
+                for lo in range(0, top + 1, _BLOCK):
+                    m = lo + (spf[lo : min(lo + _BLOCK, top + 1)] > p).nonzero()[0]
+                    values[q * m] = fq * values[m]
+            else:  # every m > 1 with spf(m) > p exceeds p, so m = 1 is left
+                values[q] = fq
+            q, fq = q * p, fq * r
+    return values
 
 
-def _fill_chunk(values: np.ndarray, spf: np.ndarray, lo: int, hi: int, at_primes, ratios: np.ndarray) -> None:
-    # values[lo:hi]; every entry below lo is already filled
-    import numpy as np
-
-    p = spf[lo:hi]
-    prime = p == np.arange(lo, hi)
-    values[lo + np.flatnonzero(prime)] = at_primes(p[prime].astype(values.dtype))
-    rest = np.flatnonzero(~prime)
-    p = p[rest]
-    m = (lo + rest) // p
-    factor = np.where(m % p == 0, ratios[p], values[p])
-    # an aligned chunk lies in one dyadic block; only the first meets several
-    cuts = [lo] + [1 << j for j in range(lo.bit_length(), (hi - 1).bit_length())] + [hi]
-    ends = np.searchsorted(rest, np.array(cuts) - lo)
-    for i, j in zip(ends, ends[1:]):
-        values[lo + rest[i:j]] = values[m[i:j]] * factor[i:j]
-
-
-def phi_k_table(k: int, x: int) -> list[int]:
-    """Exact phi_k(n) for all n <= x, indexed by n (slot 0 is a placeholder).
-
-    Built from the values at primes and the ratio p^k between consecutive
-    prime powers by the multiplicative sieve walk (one SPF sieve,
-    vectorised chunks of n) instead of per-value trial division.
-    """
+def _phi_k_values(k: int, x: int) -> np.ndarray:
+    # the phi_k table as an array, validated as phi_k_table validates it
     if k < 1:
         raise ValueError(f"tuple length must be >= 1, got {k}")
     if x < 1:
@@ -193,9 +183,35 @@ def phi_k_table(k: int, x: int) -> list[int]:
     return _multiplicative_table(x, k, lambda p: _phi_k_at_primes(k, p), lambda p: p**k)
 
 
+def phi_k_table(k: int, x: int) -> list[int]:
+    """Exact phi_k(n) for all n <= x, indexed by n (slot 0 is a placeholder).
+
+    Built from the values at primes and the ratio p^k between consecutive
+    prime powers by the multiplicative sieve fill (one SPF sieve, numpy
+    steps per prime power) instead of per-value trial division.
+    """
+    return _phi_k_values(k, x).tolist()
+
+
+# Shorter int64 runs are summed as Python ints, which then costs less
+_MIN_SUM_RUN = 1 << 10
+
+
+def _exact_sum(values: np.ndarray, start: int, stop: int, bound: int) -> int:
+    """sum(values[start:stop]) as an int, for entries of size at most ``bound``.
+
+    int64 is summed by numpy in runs of (2^63 - 1) // bound entries, so no
+    run overflows; object tables are summed as Python ints.
+    """
+    run = (2**63 - 1) // bound
+    if values.dtype == object or run < _MIN_SUM_RUN:
+        return sum(values[start:stop].tolist())
+    return sum(int(values[i : min(i + run, stop)].sum()) for i in range(start, stop, run))
+
+
 def partial_sum(k: int, x: int) -> int:
     """Exact sum of phi_k(n) for n <= x."""
-    return sum(phi_k_table(k, x))
+    return _exact_sum(_phi_k_values(k, x), 1, x + 1, x**k)
 
 
 @dataclass(frozen=True)
@@ -460,37 +476,62 @@ def corollary_constant(k: int, tol: float = 1e-9) -> EulerConstant:
     return _assemble(k, replace(family, scale=family.scale / (k + 1)), tol)
 
 
+def _g_k_values(k: int, limit: int) -> np.ndarray:
+    # the g_k table as an array, validated as g_k_table validates it
+    if k < 1 or k % 2:
+        raise ValueError(f"the convolution decomposition is used for even k, got {k}")
+    if limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
+    _check_output_bits(k, ((limit, 1),), "g_k_table")
+    return _multiplicative_table(limit, k, lambda p: _phi_k_at_primes(k, p) - p**k, lambda p: 0)
+
+
 def g_k_table(k: int, limit: int) -> GkCoefficient:
     """Multiplicative convolution coefficients g_k(n) for n <= limit.
 
     Prime values are phi_k(p) - p^k, as phi_k = id_k * g_k; anything
     non-squarefree is 0.
     """
-    if k < 1 or k % 2:
-        raise ValueError(f"the convolution decomposition is used for even k, got {k}")
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
-    _check_output_bits(k, ((limit, 1),), "g_k_table")
-    values = _multiplicative_table(limit, k, lambda p: _phi_k_at_primes(k, p) - p**k, lambda p: 0 * p)
-    return GkCoefficient(k=k, limit=limit, values=tuple(values))
+    return GkCoefficient(k=k, limit=limit, values=tuple(_g_k_values(k, limit).tolist()))
 
 
 def convolution_check(k: int, limit: int) -> ConvolutionReport:
-    """Verify sum_{d|n} g_k(d) (n/d)^k = phi_k(n) exactly for all n <= limit."""
-    coeffs = g_k_table(k, limit)
-    expected = phi_k_table(k, limit)
-    powers = [e**k for e in range(limit + 1)]
-    acc = [0] * (limit + 1)
-    for d in range(1, limit + 1):
-        gd = coeffs.values[d]
-        if gd == 0:
-            continue
-        for e in range(1, limit // d + 1):
-            acc[d * e] += gd * powers[e]
-    for n in range(1, limit + 1):
-        if acc[n] != expected[n]:
-            return ConvolutionReport(k=k, limit=limit, ok=False, first_mismatch=(n, expected[n], acc[n]))
+    """Verify sum_{d|n} g_k(d) (n/d)^k = phi_k(n) exactly for all n <= limit.
+
+    The convolution is subtracted from the phi_k table in place by the
+    hyperbola method: with s = isqrt(limit), each d <= s takes g_k(d) e^k
+    off n = d e for all e <= limit/d, and each e <= limit/(s+1) does so for
+    all d in (s, limit/e], in strided numpy steps. The identity holds where
+    the residual is 0. Partial results are at most n^(k+1) in size, so the
+    arrays are int64 while limit^(k+1) < 2^63. The phi_k value reported at
+    a mismatch comes from a table rebuilt up to it.
+    """
+    import numpy as np
+
+    dtype = np.int64 if limit ** (k + 1) < 2**63 else object
+    g = _g_k_values(k, limit).astype(dtype, copy=False)
+    residual = _phi_k_values(k, limit).astype(dtype, copy=False)
+    powers = np.arange(limit + 1, dtype=dtype) ** k
+    s = math.isqrt(limit)
+    for d in range(1, s + 1):
+        if g[d]:
+            _add_strided(residual, d, -g[d], powers, 1, limit // d + 1)
+    for e in range(1, limit // (s + 1) + 1):
+        _add_strided(residual, e, -powers[e], g, s + 1, limit // e + 1)
+    wrong = residual.nonzero()[0]
+    if wrong.size:
+        n = int(wrong[0])
+        expected = int(_phi_k_values(k, n)[n])
+        mismatch = (n, expected, expected - int(residual[n]))
+        return ConvolutionReport(k=k, limit=limit, ok=False, first_mismatch=mismatch)
     return ConvolutionReport(k=k, limit=limit, ok=True, first_mismatch=None)
+
+
+def _add_strided(acc: np.ndarray, step: int, scale, source: np.ndarray, lo: int, hi: int) -> None:
+    # acc[step j] += scale source[j] for lo <= j < hi, _BLOCK entries at a time
+    for i in range(lo, hi, _BLOCK):
+        j = min(i + _BLOCK, hi)
+        acc[step * i : step * j : step] += scale * source[i:j]
 
 
 def _error_scale(k: int, x: int) -> float:
@@ -518,14 +559,13 @@ def averaging_report(k: int, xs: list[int], tol: float = 1e-9) -> list[Averaging
     if list(xs) != sorted(xs):
         raise ValueError("range ends must be ascending")
     constant = euler_constant(k, tol)
-    top = xs[-1]
-    values = phi_k_table(k, top)
+    values = _phi_k_values(k, xs[-1])
     rows = []
     with mp.workdps(_WORK_DPS):
         running = 0
         upto = 0
         for x in xs:
-            running += sum(values[upto + 1 : x + 1])
+            running += _exact_sum(values, upto + 1, x + 1, x**k)
             upto = x
             main = constant.value * mp.mpf(x) ** (k + 1) / (k + 1)
             rel = (running - main) / main

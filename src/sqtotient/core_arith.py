@@ -1,9 +1,9 @@
 """Exact integer arithmetic substrate: factorization, sieves, totients.
 
 Everything here works with unbounded Python integers; nothing ever wraps
-silently. Bulk tables walk an SPF (smallest prime factor) sieve; single
-values get trial division up to a fixed bound followed by Miller-Rabin plus
-Brent-style rho splitting for anything larger.
+silently. Bulk tables are filled over an SPF (smallest prime factor)
+sieve; single values get trial division up to a fixed bound followed by
+Miller-Rabin plus Brent-style rho splitting for anything larger.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ _TRIAL_BOUND = 1000
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Largest limit of a sieve table (the SPF sieve, and the multiplicative
-# tables walked over it): at 8 bytes or more per entry, each array takes
+# tables filled over it): at 8 bytes or more per entry, each array takes
 # at least 128 MB here.
 _MAX_SIEVE_LIMIT = 1 << 24
 
@@ -97,20 +97,21 @@ def build_spf(limit: int) -> np.ndarray:
     Entry i >= 2 is the least prime dividing i, so spf[p] == p exactly for
     primes; entries 0 and 1 are 0. Memory is 8 bytes per entry; limits above
     2^24 are refused before anything is allocated.
+
+    Every entry starts as itself, and each prime p <= sqrt(limit), from the
+    largest down, overwrites its multiples from p^2 on with one strided
+    store, so the smallest prime writes last. A composite i has
+    spf(i)^2 <= i, so it is reached; a prime is never overwritten.
     """
     import numpy as np
 
     if limit < 2:
         raise ValueError(f"build_spf requires limit >= 2, got {limit}")
     _check_sieve_limit(limit, "build_spf")
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    for p in range(2, isqrt(limit) + 1):
-        if spf[p] == 0:
-            spf[p] = p
-            block = spf[p * p :: p]
-            block[block == 0] = p
-    untouched = spf[2:] == 0
-    spf[2:][untouched] = np.arange(2, limit + 1, dtype=np.int64)[untouched]
+    spf = np.arange(limit + 1, dtype=np.int64)
+    spf[1] = 0
+    for p in reversed(primes_upto(isqrt(limit))):
+        spf[p * p :: p] = p
     return spf
 
 

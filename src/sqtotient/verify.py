@@ -333,9 +333,10 @@ def _menon_classic(limit: int, guard: int) -> list[Check]:
 # Each suite with the largest limit it accepts where its work grows with
 # the limit: phi counts every n^k census under the guard, menon-classic
 # fills one numpy gcd table of n + 1 entries per n <= limit (O(limit^2)
-# vectorised steps, about 2 s at its cap), and convolution builds four
-# tables of limit + 1 entries, each over its own sieve (about 250 MB peak
-# RSS at its cap).
+# vectorised steps, about 2 s at its cap), and convolution holds three
+# arrays of limit + 1 entries per k (g_k, the phi_k residual and n^k, in
+# Python ints at k = 4), each table over its own sieve (2-4 s of CPU and
+# 220 MB peak RSS at its cap).
 # Each cap costs seconds of CPU. rho and identities clamp every bound
 # themselves.
 SUITES = {

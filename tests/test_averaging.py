@@ -21,7 +21,7 @@ from sqtotient import (
     phi_k_table,
 )
 from sqtotient.averaging import (
-    _CHUNK,
+    _BLOCK,
     _MAX_PRIMORIAL_PRIMES,
     _Family,
     _beta_fixed,
@@ -79,16 +79,50 @@ class TestSieveWalk:
         # every 97th n, plus the last 2000 entries
         return sorted(set(range(1, limit + 1, 97)) | set(range(max(1, limit - 1999), limit + 1)))
 
-    def test_across_chunk_boundaries(self):
-        limit = 70_000  # many chunks, ending inside the block [2^16, 2^17)
-        phi = phi_k_table(2, limit)
-        g = g_k_table(2, limit).values
+    def check_entries(self, k, limit, ns):
+        phi = phi_k_table(k, limit)
+        g = g_k_table(k, limit).values
         assert len(phi) == len(g) == limit + 1
-        edges = [n + d for n in range(_CHUNK, limit, _CHUNK) for d in (-1, 0, 1)]
-        assert 2**16 in edges
-        for n in self.sample(limit) + edges:
-            assert phi[n] == phi_k(2, n), n
-            assert g[n] == self.g_k_oracle(2, n), n
+        for n in sorted(n for n in set(ns) if 1 <= n <= limit):
+            assert phi[n] == phi_k(k, n), (k, limit, n)
+            assert g[n] == self.g_k_oracle(k, n), (k, limit, n)
+
+    def test_limits_at_a_prime_square(self):
+        # 997 is the largest prime <= sqrt(limit) only from 997^2 on, where
+        # its one power q = 997^2 leaves m = 1 alone
+        square = 997**2
+        for limit in (square - 1, square, square + 1):
+            near = [p * m for p in (991, 997) for m in range(limit // p - 40, limit // p + 1)]
+            self.check_entries(2, limit, self.sample(limit)[::20] + near + [square, 991 * 997])
+
+    def test_prime_powers_at_and_near_the_limit(self):
+        # a limit that is a power of 2, 3 or 5, one either side of it, and
+        # every prime power up to it (k = 6 is in Python ints here)
+        for q in (2**16, 3**10, 5**7):
+            powers = [p**e for p in primes_upto(math.isqrt(q + 1)) for e in range(2, 20) if p**e <= q + 1]
+            for limit in (q - 1, q, q + 1):
+                self.check_entries(6, limit, powers + list(range(limit - 40, limit + 1)))
+
+    def test_cofactors_whose_smallest_prime_is_the_next_one(self):
+        # n = p^e m with spf(m) the prime after p, read from the step of p'
+        limit = 70_000
+        primes = primes_upto(300)
+        ns = [
+            p**e * q**f * r
+            for p, q in zip(primes, primes[1:])
+            for e in range(1, 17)
+            for f in range(1, 11)
+            for r in (1, *primes[primes.index(q) + 1 :][:3])
+            if p**e * q**f * r <= limit
+        ]
+        self.check_entries(2, limit, ns)
+
+    def test_across_block_edges(self):
+        # the primes are found in blocks of n from 2, and each power q steps
+        # through its cofactors m in blocks from 0, _BLOCK entries at a time
+        limit = 70_000
+        edges = [j * _BLOCK + d for j in range(1, limit // _BLOCK + 1) for d in range(-1, 4)]
+        self.check_entries(2, limit, [q * m for q in (1, 2, 3, 4, 8) for m in edges])
 
     def test_both_sides_of_the_int64_switch(self):
         # 55108^4, 6208^5, 1448^6 and 234^8 are the last powers below 2^63
@@ -304,6 +338,34 @@ class TestConvolution:
         report = convolution_check(2, 1)
         assert report.ok and report.first_mismatch is None
 
+    def test_both_sides_of_the_int64_switch(self):
+        # 6208^5 is the last fifth power below 2^63: int64 sums up to it,
+        # Python ints above
+        assert 6208**5 < 2**63 <= 6209**5
+        for limit in (6208, 6209):
+            report = convolution_check(4, limit)
+            assert (report.ok, report.first_mismatch, report.limit) == (True, None, limit)
+
+    @pytest.mark.parametrize(
+        "k, limit, n",
+        # 30 is reached from d <= isqrt(limit), 437 = 19 * 23 and 6205 = 5 * 17 * 73 from d above it
+        [(2, 500, 30), (2, 500, 437), (4, 6209, 30), (4, 6209, 6205)],
+    )
+    def test_reports_the_first_mismatch(self, monkeypatch, k, limit, n):
+        exact = averaging._g_k_values
+
+        def corrupted(k, limit):
+            g = exact(k, limit)
+            g[n] += 1
+            return g
+
+        monkeypatch.setattr(averaging, "_g_k_values", corrupted)
+        report = convolution_check(k, limit)
+        want = phi_k(k, n)
+        assert not report.ok
+        assert report.first_mismatch == (n, want, want + 1)
+        assert all(type(v) is int for v in report.first_mismatch)
+
 
 class TestAveragingReport:
     def test_k1_x10_row(self):
@@ -331,6 +393,24 @@ class TestAveragingReport:
         rows = averaging_report(1, [100, 1000])
         assert rows[0].partial_sum == partial_sum(1, 100)
         assert rows[1].partial_sum == partial_sum(1, 1000)
+
+    def test_sums_past_int64(self):
+        # 55108^4 < 2^63 <= S_4(55108): each entry fits in int64, the sum does not
+        assert 55108**4 < 2**63 <= sum(phi_k_table(4, 55108))
+        for x in (55108, 55109):
+            total = sum(phi_k_table(4, x))
+            assert partial_sum(4, x) == total and type(partial_sum(4, x)) is int
+            rows = averaging_report(4, [1000, x])
+            assert rows[0].partial_sum == sum(phi_k_table(4, 1000))
+            assert rows[1].partial_sum == total
+
+    def test_int64_runs_past_int64(self, monkeypatch):
+        # numpy sums runs of (2^63 - 1) // x^k entries: 1152 at k = 3, x = 200000,
+        # where S_3(x) is about 2^68; and runs of one entry at k = 4, x = 55108
+        assert sum(phi_k_table(3, 200_000)) > 2**63
+        assert partial_sum(3, 200_000) == sum(phi_k_table(3, 200_000))
+        monkeypatch.setattr(averaging, "_MIN_SUM_RUN", 1)
+        assert partial_sum(4, 55_108) == sum(phi_k_table(4, 55_108))
 
 
 class TestMinimalOrder:
