@@ -124,7 +124,8 @@ class ConvolutionReport:
     first_mismatch: tuple[int, int, int] | None  # (n, expected phi_k, convolution)
 
 
-# Entries per numpy step of the table fill and the convolution check. Each
+# Entries per numpy step of the table fill, the exact sums and the
+# convolution check. Each
 # temporary stays within 64 KiB, under glibc's 128 KiB mmap threshold, so
 # the steps reuse one patch of heap; freeing larger mapped blocks raises
 # the threshold and leaves later ones resident (whole-range steps added
@@ -138,10 +139,10 @@ def _multiplicative_table(limit: int, k: int, at_primes, ratio) -> np.ndarray:
     ``at_primes`` maps an array of primes, in the table's dtype, to f(p);
     ``ratio`` maps one prime (an int) to r(p), f(p^(e+1)) = r(p) f(p^e).
     A composite n is p^e m in exactly one way with p = spf(n) and
-    spf(m) > p, m = 1 included. So after the primes, the primes
+    spf(m) > p, where m = 1 or m > p. So after the primes, the primes
     p <= sqrt(limit) are taken from the largest down, and each power q = p^e
-    sets values[q m] = f(q) values[m] for all those m, whose entries are
-    final by then; nothing is divided. |f(n)| <= n^k keeps the table in
+    sets values[q] = f(q) and values[q m] = f(q) values[m] for those
+    m in (p, limit/q], whose entries are final by then; nothing is divided. |f(n)| <= n^k keeps the table in
     int64 while limit^k < 2^63 and in Python ints above. Slot 0 is 0. A
     limit over the sieve cap is refused before anything is allocated.
     """
@@ -158,17 +159,14 @@ def _multiplicative_table(limit: int, k: int, at_primes, ratio) -> np.ndarray:
         hi = min(lo + _BLOCK, limit + 1)
         primes = lo + (spf[lo:hi] == np.arange(lo, hi)).nonzero()[0]
         values[primes] = at_primes(primes.astype(dtype, copy=False))
-    spf[1] = limit + 1  # m = 1 passes every spf(m) > p test
     for p in reversed(primes_upto(math.isqrt(limit))):
         q, fq, r = p, int(values[p]), ratio(p)
         while q <= limit and fq:  # f(q) = 0 leaves its entries at 0
+            values[q] = fq
             top = limit // q
-            if top > p:
-                for lo in range(0, top + 1, _BLOCK):
-                    m = lo + (spf[lo : min(lo + _BLOCK, top + 1)] > p).nonzero()[0]
-                    values[q * m] = fq * values[m]
-            else:  # every m > 1 with spf(m) > p exceeds p, so m = 1 is left
-                values[q] = fq
+            for lo in range(p + 1, top + 1, _BLOCK):
+                m = lo + (spf[lo : min(lo + _BLOCK, top + 1)] > p).nonzero()[0]
+                values[q * m] = fq * values[m]
             q, fq = q * p, fq * r
     return values
 
@@ -193,25 +191,26 @@ def phi_k_table(k: int, x: int) -> list[int]:
     return _phi_k_values(k, x).tolist()
 
 
-# Shorter int64 runs are summed as Python ints, which then costs less
-_MIN_SUM_RUN = 1 << 10
+def _exact_sum(values: np.ndarray, start: int, stop: int) -> int:
+    """sum(values[start:stop]) as an int.
 
-
-def _exact_sum(values: np.ndarray, start: int, stop: int, bound: int) -> int:
-    """sum(values[start:stop]) as an int, for entries of size at most ``bound``.
-
-    int64 is summed by numpy in runs of (2^63 - 1) // bound entries, so no
-    run overflows; object tables are summed as Python ints.
+    int64 entries are split into their high and low 32 bits, and each half
+    is summed by numpy one _BLOCK at a time: a block's half sums stay below
+    2^45, so none overflows. Object tables are summed as Python ints.
     """
-    run = (2**63 - 1) // bound
-    if values.dtype == object or run < _MIN_SUM_RUN:
+    if values.dtype == object:
         return sum(values[start:stop].tolist())
-    return sum(int(values[i : min(i + run, stop)].sum()) for i in range(start, stop, run))
+    high = low = 0
+    for i in range(start, stop, _BLOCK):
+        block = values[i : min(i + _BLOCK, stop)]
+        high += int((block >> 32).sum())
+        low += int((block & 0xFFFFFFFF).sum())
+    return (high << 32) + low
 
 
 def partial_sum(k: int, x: int) -> int:
     """Exact sum of phi_k(n) for n <= x."""
-    return _exact_sum(_phi_k_values(k, x), 1, x + 1, x**k)
+    return _exact_sum(_phi_k_values(k, x), 1, x + 1)
 
 
 @dataclass(frozen=True)
@@ -565,7 +564,7 @@ def averaging_report(k: int, xs: list[int], tol: float = 1e-9) -> list[Averaging
         running = 0
         upto = 0
         for x in xs:
-            running += _exact_sum(values, upto + 1, x + 1, x**k)
+            running += _exact_sum(values, upto + 1, x + 1)
             upto = x
             main = constant.value * mp.mpf(x) ** (k + 1) / (k + 1)
             rel = (running - main) / main

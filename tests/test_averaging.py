@@ -6,6 +6,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 import sqtotient.averaging as averaging
@@ -89,7 +90,7 @@ class TestSieveWalk:
 
     def test_limits_at_a_prime_square(self):
         # 997 is the largest prime <= sqrt(limit) only from 997^2 on, where
-        # its one power q = 997^2 leaves m = 1 alone
+        # its one power q = 997^2 has no cofactor m > 1
         square = 997**2
         for limit in (square - 1, square, square + 1):
             near = [p * m for p in (991, 997) for m in range(limit // p - 40, limit // p + 1)]
@@ -118,10 +119,11 @@ class TestSieveWalk:
         self.check_entries(2, limit, ns)
 
     def test_across_block_edges(self):
-        # the primes are found in blocks of n from 2, and each power q steps
-        # through its cofactors m in blocks from 0, _BLOCK entries at a time
+        # the primes are found in blocks of n from 2, and each power q = p^e
+        # steps through its cofactors m in blocks from p + 1, _BLOCK entries
+        # at a time
         limit = 70_000
-        edges = [j * _BLOCK + d for j in range(1, limit // _BLOCK + 1) for d in range(-1, 4)]
+        edges = [j * _BLOCK + d for j in range(1, limit // _BLOCK + 1) for d in range(-1, 5)]
         self.check_entries(2, limit, [q * m for q in (1, 2, 3, 4, 8) for m in edges])
 
     def test_both_sides_of_the_int64_switch(self):
@@ -404,13 +406,14 @@ class TestAveragingReport:
             assert rows[0].partial_sum == sum(phi_k_table(4, 1000))
             assert rows[1].partial_sum == total
 
-    def test_int64_runs_past_int64(self, monkeypatch):
-        # numpy sums runs of (2^63 - 1) // x^k entries: 1152 at k = 3, x = 200000,
-        # where S_3(x) is about 2^68; and runs of one entry at k = 4, x = 55108
+    def test_int64_halves_past_int64(self):
+        # S_3(200000) is about 2^68, summed over many blocks of int64 halves
         assert sum(phi_k_table(3, 200_000)) > 2**63
         assert partial_sum(3, 200_000) == sum(phi_k_table(3, 200_000))
-        monkeypatch.setattr(averaging, "_MIN_SUM_RUN", 1)
-        assert partial_sum(4, 55_108) == sum(phi_k_table(4, 55_108))
+        # entries at both ends of int64, across a block edge
+        extremes = [2**63 - 1, -(2**63), -1, 2**32, 2**32 - 1] * 2000
+        values = np.array(extremes, dtype=np.int64)
+        assert averaging._exact_sum(values, 3, len(extremes)) == sum(extremes[3:])
 
 
 class TestMinimalOrder:
