@@ -125,11 +125,10 @@ class ConvolutionReport:
 
 
 # Entries per numpy step of the table fill, the exact sums and the
-# convolution check. Each
-# temporary stays within 64 KiB, under glibc's 128 KiB mmap threshold, so
-# the steps reuse one patch of heap; freeing larger mapped blocks raises
-# the threshold and leaves later ones resident (whole-range steps added
-# about 2 MB to peak RSS at limit 10^6).
+# convolution check. Each temporary stays within 64 KiB, under glibc's
+# 128 KiB mmap threshold, so the steps reuse one patch of heap; freeing
+# larger mapped blocks raises the threshold and leaves later ones resident
+# (whole-range steps added about 2 MB to peak RSS at limit 10^6).
 _BLOCK = 1 << 13
 
 
@@ -142,9 +141,10 @@ def _multiplicative_table(limit: int, k: int, at_primes, ratio) -> np.ndarray:
     spf(m) > p, where m = 1 or m > p. So after the primes, the primes
     p <= sqrt(limit) are taken from the largest down, and each power q = p^e
     sets values[q] = f(q) and values[q m] = f(q) values[m] for those
-    m in (p, limit/q], whose entries are final by then; nothing is divided. |f(n)| <= n^k keeps the table in
-    int64 while limit^k < 2^63 and in Python ints above. Slot 0 is 0. A
-    limit over the sieve cap is refused before anything is allocated.
+    m in (p, limit/q], whose entries are final by then; nothing is
+    divided. |f(n)| <= n^k keeps the table in int64 while limit^k < 2^63
+    and in Python ints above. Slot 0 is 0. A limit over the sieve cap is
+    refused before anything is allocated.
     """
     import numpy as np
 

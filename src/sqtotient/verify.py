@@ -335,7 +335,7 @@ def _menon_classic(limit: int, guard: int) -> list[Check]:
 # fills one numpy gcd table of n + 1 entries per n <= limit (O(limit^2)
 # vectorised steps, about 2 s at its cap), and convolution holds three
 # arrays of limit + 1 entries per k (g_k, the phi_k residual and n^k, in
-# Python ints at k = 4), each table over its own sieve (2-4 s of CPU and
+# Python ints at k = 4), each table over its own sieve (2-4.3 s of CPU and
 # 220 MB peak RSS at its cap).
 # Each cap costs seconds of CPU. rho and identities clamp every bound
 # themselves.
