@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
-from .core_arith import BudgetExceededError, _check_sieve_limit, build_spf, factorize, primes_upto
+from .core_arith import BudgetExceededError, _check_budget, build_spf, factorize, primes_upto
 from .phi import _phi_k_at_primes, phi_k_prime_power
 from .rho import _check_output_bits
 
@@ -70,8 +70,6 @@ _MAX_WORK_DPS = 128
 # prime-zeta tail series. _log10_neglected needs at least twice a family's
 # root bound, which is at most 3.
 _DEFAULT_PRIME_BOUND = 64
-
-_MAX_PRIMORIAL_PRIMES = 10_000
 
 
 @dataclass(frozen=True)
@@ -132,7 +130,19 @@ class ConvolutionReport:
 _BLOCK = 1 << 13
 
 
-def _multiplicative_table(limit: int, k: int, at_primes, ratio) -> np.ndarray:
+def _table_cost(limit: int, k: int, listed: bool) -> tuple[float, float]:
+    """Predicted CPU seconds and peak bytes of a table of about n^k, n <= limit, with its sieve.
+
+    An entry of B = k log2(limit) bits takes 9e-8 + 2.5e-10 B + 1.2e-13 B^2 s
+    (fitted for B = 176 to 15,000) and 44 + B / 7.5 bytes; an int64 one less.
+    """
+    bits = k * limit.bit_length()
+    if bits < 64:
+        return limit * (9e-8 if listed else 5.5e-8), limit * (48 if listed else 16)
+    return limit * (9e-8 + 2.5e-10 * bits + 1.2e-13 * bits**2), limit * (44 + bits / 7.5)
+
+
+def _multiplicative_table(limit: int, k: int, at_primes, ratio, listed: bool = False) -> np.ndarray:
     """values[n] = f(n) for n <= limit, f multiplicative and given at primes.
 
     ``at_primes`` maps an array of primes, in the table's dtype, to f(p);
@@ -143,12 +153,12 @@ def _multiplicative_table(limit: int, k: int, at_primes, ratio) -> np.ndarray:
     sets values[q] = f(q) and values[q m] = f(q) values[m] for those
     m in (p, limit/q], whose entries are final by then; nothing is
     divided. |f(n)| <= n^k keeps the table in int64 while limit^k < 2^63
-    and in Python ints above. Slot 0 is 0. A limit over the sieve cap is
-    refused before anything is allocated.
+    and in Python ints above. Slot 0 is 0. A table (``listed`` if it is
+    to become a list) predicted over the budget is refused up front.
     """
+    _check_budget(f"a table of {limit} values at k = {k}", *_table_cost(limit, k, listed))
     import numpy as np
 
-    _check_sieve_limit(limit, "multiplicative table")
     dtype = np.int64 if limit**k < 2**63 else object
     values = np.zeros(limit + 1, dtype=dtype)
     values[1] = 1
@@ -171,14 +181,14 @@ def _multiplicative_table(limit: int, k: int, at_primes, ratio) -> np.ndarray:
     return values
 
 
-def _phi_k_values(k: int, x: int) -> np.ndarray:
+def _phi_k_values(k: int, x: int, listed: bool = False) -> np.ndarray:
     # the phi_k table as an array, validated as phi_k_table validates it
     if k < 1:
         raise ValueError(f"tuple length must be >= 1, got {k}")
     if x < 1:
         raise ValueError(f"range end must be >= 1, got {x}")
     _check_output_bits(k, ((x, 1),), "phi_k_table")
-    return _multiplicative_table(x, k, lambda p: _phi_k_at_primes(k, p), lambda p: p**k)
+    return _multiplicative_table(x, k, lambda p: _phi_k_at_primes(k, p), lambda p: p**k, listed)
 
 
 def phi_k_table(k: int, x: int) -> list[int]:
@@ -188,7 +198,7 @@ def phi_k_table(k: int, x: int) -> list[int]:
     prime powers by the multiplicative sieve fill (one SPF sieve, numpy
     steps per prime power) instead of per-value trial division.
     """
-    return _phi_k_values(k, x).tolist()
+    return _phi_k_values(k, x, listed=True).tolist()
 
 
 def _exact_sum(values: np.ndarray, start: int, stop: int) -> int:
@@ -475,14 +485,14 @@ def corollary_constant(k: int, tol: float = 1e-9) -> EulerConstant:
     return _assemble(k, replace(family, scale=family.scale / (k + 1)), tol)
 
 
-def _g_k_values(k: int, limit: int) -> np.ndarray:
+def _g_k_values(k: int, limit: int, listed: bool = False) -> np.ndarray:
     # the g_k table as an array, validated as g_k_table validates it
     if k < 1 or k % 2:
         raise ValueError(f"the convolution decomposition is used for even k, got {k}")
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     _check_output_bits(k, ((limit, 1),), "g_k_table")
-    return _multiplicative_table(limit, k, lambda p: _phi_k_at_primes(k, p) - p**k, lambda p: 0)
+    return _multiplicative_table(limit, k, lambda p: _phi_k_at_primes(k, p) - p**k, lambda p: 0, listed)
 
 
 def g_k_table(k: int, limit: int) -> GkCoefficient:
@@ -491,7 +501,7 @@ def g_k_table(k: int, limit: int) -> GkCoefficient:
     Prime values are phi_k(p) - p^k, as phi_k = id_k * g_k; anything
     non-squarefree is 0.
     """
-    return GkCoefficient(k=k, limit=limit, values=tuple(_g_k_values(k, limit).tolist()))
+    return GkCoefficient(k=k, limit=limit, values=tuple(_g_k_values(k, limit, listed=True).tolist()))
 
 
 def convolution_check(k: int, limit: int) -> ConvolutionReport:
@@ -533,15 +543,6 @@ def _add_strided(acc: np.ndarray, step: int, scale, source: np.ndarray, lo: int,
         acc[step * i : step * j : step] += scale * source[i:j]
 
 
-def _error_scale(k: int, x: int) -> float:
-    # the comparison scale x^k R_k(x) for the secondary error column
-    if k % 2 == 1:
-        r = math.log(x) ** (2 / 3) * math.log(math.log(x)) ** (4 / 3)
-    else:
-        r = math.log(x)
-    return x**k * r
-
-
 def averaging_report(k: int, xs: list[int], tol: float = 1e-9) -> list[AveragingRow]:
     """Measure exact partial sums against the main term C_k x^(k+1)/(k+1).
 
@@ -557,28 +558,37 @@ def averaging_report(k: int, xs: list[int], tol: float = 1e-9) -> list[Averaging
         raise ValueError("range ends must be >= 3 so log log x is positive")
     if list(xs) != sorted(xs):
         raise ValueError("range ends must be ascending")
-    constant = euler_constant(k, tol)
+    if (k + 1) * math.log2(xs[-1]) - math.log2(k + 1) >= 1024:
+        raise ValueError(f"the main term at x = {xs[-1]}, k = {k} is past the float range: x^(k+1) / (k+1) >= 2^1024")
     values = _phi_k_values(k, xs[-1])
+    constant = euler_constant(k, tol)
     rows = []
     with mp.workdps(_WORK_DPS):
-        running = 0
-        upto = 0
+        running = upto = 0
         for x in xs:
             running += _exact_sum(values, upto + 1, x + 1)
             upto = x
             main = constant.value * mp.mpf(x) ** (k + 1) / (k + 1)
-            rel = (running - main) / main
-            ratio = (running - main) / _error_scale(k, x)
-            rows.append(
-                AveragingRow(
-                    x=x,
-                    partial_sum=running,
-                    main_term=float(main),
-                    rel_error=float(rel),
-                    error_ratio=float(ratio),
-                )
-            )
+            # the error scale x^k R_k(x), rounded as a float would be but in an
+            # mpf, since x^k leaves the float range at k log2(x) = 1024
+            log_x = math.log(x)
+            with mp.workprec(53):
+                scale = mp.mpf(x) ** k * (log_x ** (2 / 3) * math.log(log_x) ** (4 / 3) if k % 2 else log_x)
+            error = running - main
+            rows.append(AveragingRow(x, running, float(main), float(error / main), float(error / scale)))
     return rows
+
+
+def _primorial_bits(count: int) -> float:
+    """About the bits of the product of the first ``count`` primes: p_count / ln 2."""
+    m = max(count, 3)
+    return m * (math.log(m) + math.log(math.log(m)) - 1) / math.log(2)
+
+
+def _primorial_scan_cost(count: int) -> tuple[float, float]:
+    # 3.2e-5 s a row and 3e-10 s a bit built; the rows hold all the primorials
+    bits = count * _primorial_bits(count) / 2
+    return 3.2e-5 * count + 3e-10 * bits, bits / 8 + 100 * count
 
 
 def minimal_order_scan(
@@ -601,10 +611,7 @@ def minimal_order_scan(
         )
     if prime_count < 3:
         raise ValueError("need at least the first three primes")
-    if prime_count > _MAX_PRIMORIAL_PRIMES:
-        raise BudgetExceededError(
-            prime_count, _MAX_PRIMORIAL_PRIMES, "primorial scan length"
-        )
+    _check_budget(f"minimal_order_scan({k}, {prime_count})", *_primorial_scan_cost(prime_count))
     bound = 15 * prime_count  # p_m < m (log m + log log m) with slack
     primes = primes_upto(max(bound, 30))[:prime_count]
     # the output cap of phi_k(n) itself, about k log2 n bits

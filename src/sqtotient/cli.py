@@ -17,31 +17,15 @@ from math import gcd
 import click
 
 from . import averaging, menon, verify
-from .core_arith import BudgetExceededError, _check_sieve_limit
+from .core_arith import BudgetExceededError, _check_budget
 from .phi import phi_k
-from .reporting import FORMATS, _int_str, write_rows
+from .reporting import FORMATS, _int_str, _mean_bits, _write_cost, write_rows
 from .rho import _check_output_bits, rho
 
 INT64_MAX = 2**63 - 1
 
 # The type of every integer option but -l, which starts at 0.
 POSITIVE = click.IntRange(1, INT64_MAX)
-
-# Largest x (k log2 x + 1024) that `phi --range x` renders. The rows are
-# streamed, so the memory is the table itself in CSV and JSON, and the
-# table plus every cell string in plain text, which aligns its columns:
-# at most about 0.44 bytes per unit of it. At the largest x admitted, the
-# peak RSS measured 59 MB at k = 8 (x = 456,522, JSON and CSV; 191 MB
-# plain), 54 MB at k = 1 (x = 514,737, JSON) and 237 MB at k = 1000
-# (x = 32,767, plain; 100-108 MB in CSV and JSON).
-MAX_RANGE_OUTPUT = 1 << 29
-
-
-def _check_range_output(k: int, x: int) -> None:
-    """Refuse to render a table of phi_k(n), n <= x, past MAX_RANGE_OUTPUT."""
-    work = x * (k * x.bit_length() + 1024)
-    if work > MAX_RANGE_OUTPUT:
-        raise BudgetExceededError(work, MAX_RANGE_OUTPUT, "phi --range output (x (k log2 x + 1024))")
 
 
 def output_options(command):
@@ -136,10 +120,11 @@ def phi_command(k, n, range_end, fmt, out, no_meta):
         else:
             _emit([(k, n, value)], ["k", "n", "phi"], fmt, meta, out)
         return
-    # the table's own refusals keep their precedence over the output budget
     _check_output_bits(k, ((range_end, 1),), "phi_k_table")
-    _check_sieve_limit(range_end, "multiplicative table")
-    _check_range_output(k, range_end)
+    # the table and the writing of its rows, priced together before either
+    table = averaging._table_cost(range_end, k, listed=True)
+    cells = (k.bit_length(), range_end.bit_length(), _mean_bits(k, range_end))
+    _check_budget(f"phi --range {range_end} at k = {k}", *_write_cost(range_end, cells, fmt, table))
     values = averaging.phi_k_table(k, range_end)
     rows = ((k, n_, values[n_]) for n_ in range(1, range_end + 1))
     _emit(rows, ["k", "n", "phi"], fmt, meta, out)
@@ -215,17 +200,32 @@ def report_command(kind, k, xs, tol, prime_count, experimental, nmax, bound, fmt
         return
 
     if kind == "minimal-order":
+        # the rows' primorials grow about linearly and their conversion as b^1.4
+        # to b^2, so the mean row costs about as much as 0.55 times the last
+        cells = (prime_count.bit_length(), 0.55 * averaging._primorial_bits(prime_count), 53)
+        cost = _write_cost(prime_count - 2, cells, fmt, averaging._primorial_scan_cost(prime_count))
+        _check_budget(f"report minimal-order of {prime_count} primes", *cost)
         rows = averaging.minimal_order_scan(k or 1, prime_count, experimental=experimental)
         records = [(i, n, ratio) for i, (n, ratio) in enumerate(rows, start=3)]
         _emit(records, ["primes", "primorial", "ratio"], fmt, meta, out)
         return
 
+    k = k or 2
     if kind == "menon":
-        rows = menon.psi_table(k or 2, nmax)
+        bits = _mean_bits(k, nmax)
+        cells = (k.bit_length(), nmax.bit_length(), bits, bits, bits / 2, 1)
+        cost = _write_cost(nmax, cells, fmt, menon._scan_cost(k, nmax))
+        _check_budget(f"report menon at k = {k}, n <= {nmax}", *cost)
+        rows = menon.psi_table(k, nmax)
         _emit_dataclasses(rows, menon.MenonRow, fmt, meta, out)
         return
 
-    rows = menon.psi_multiplicativity_scan(k or 2, bound)
+    bits = _mean_bits(k, bound)
+    pairs = menon._pairs(bound)
+    cells = (bound.bit_length(), bound.bit_length(), bits / 2, bits / 2, 1)
+    cost = _write_cost(pairs, cells, fmt, menon._scan_cost(k, bound, pairs))
+    _check_budget(f"report menon-mult at k = {k}, mn <= {bound}", *cost)
+    rows = menon.psi_multiplicativity_scan(k, bound)
     records = [(r.m, r.n, r.separate, r.combined, r.equal) for r in rows]
     _emit(records, ["m", "n", "psi_m_psi_n", "psi_mn", "equal"], fmt, meta, out)
 

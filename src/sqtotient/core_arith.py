@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from math import gcd, isqrt
+from math import ceil, gcd, isqrt
 
 __all__ = [
     "BudgetExceededError",
@@ -33,10 +33,11 @@ _TRIAL_BOUND = 1000
 # the 64-bit inputs this package promises to certify.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Largest limit of a sieve table (the SPF sieve, and the multiplicative
-# tables filled over it): at 8 bytes or more per entry, each array takes
-# at least 128 MB here.
-_MAX_SIEVE_LIMIT = 1 << 24
+# The budget of every computation whose cost grows with its arguments: CPU
+# seconds predicted for a 2-vCPU VM (Python 3.11.7), and peak bytes. Each
+# entry point prices itself next to its code and calls _check_budget first.
+_CPU_LIMIT = 4.0
+_BYTE_LIMIT = 500 * 10**6
 
 
 class BudgetExceededError(RuntimeError):
@@ -52,10 +53,13 @@ class BudgetExceededError(RuntimeError):
         super().__init__(f"{what} needs a budget of {required}, over the limit of {budget}")
 
 
-def _check_sieve_limit(limit: int, what: str) -> None:
-    """Refuse a sieve table of more than _MAX_SIEVE_LIMIT entries before allocating it."""
-    if limit > _MAX_SIEVE_LIMIT:
-        raise BudgetExceededError(limit, _MAX_SIEVE_LIMIT, f"{what} sieve limit")
+def _check_budget(what: str, seconds: float, nbytes: float) -> None:
+    """Refuse ``what`` if its predicted CPU seconds or peak bytes are over the limits."""
+    predicted = f"{what} (predicted {seconds:.3g} s of CPU and {nbytes / 1e6:.3g} MB)"
+    if seconds > _CPU_LIMIT:
+        raise BudgetExceededError(ceil(seconds * 1000), round(_CPU_LIMIT * 1000), f"CPU milliseconds of {predicted}")
+    if nbytes > _BYTE_LIMIT:
+        raise BudgetExceededError(ceil(nbytes / 1e6), _BYTE_LIMIT // 10**6, f"megabytes of {predicted}")
 
 
 @dataclass(frozen=True)
@@ -95,19 +99,19 @@ def build_spf(limit: int) -> np.ndarray:
     """Smallest prime factors of 0..limit, as an int64 array.
 
     Entry i >= 2 is the least prime dividing i, so spf[p] == p exactly for
-    primes; entries 0 and 1 are 0. Memory is 8 bytes per entry; limits above
-    2^24 are refused before anything is allocated.
+    primes; entries 0 and 1 are 0. Memory is 8 bytes per entry, and the
+    budget is checked before anything is allocated.
 
     Every entry starts as itself, and each prime p <= sqrt(limit), from the
     largest down, overwrites its multiples from p^2 on with one strided
     store, so the smallest prime writes last. A composite i has
     spf(i)^2 <= i, so it is reached; a prime is never overwritten.
     """
-    import numpy as np
-
     if limit < 2:
         raise ValueError(f"build_spf requires limit >= 2, got {limit}")
-    _check_sieve_limit(limit, "build_spf")
+    _check_budget(f"build_spf({limit})", 3.6e-8 * limit, 8 * limit)
+    import numpy as np
+
     spf = np.arange(limit + 1, dtype=np.int64)
     spf[1] = 0
     for p in reversed(primes_upto(isqrt(limit))):
@@ -262,8 +266,10 @@ def divisor_count(f: int | Factorization) -> int:
 
 
 def primes_upto(limit: int) -> list[int]:
-    """All primes <= limit, ascending; limits above 2^24 are refused."""
-    _check_sieve_limit(limit, "primes_upto")
+    """All primes <= limit, ascending, within the budget."""
+    # a byte per entry, strides of up to limit / 2 bytes, and about
+    # 36 limit / ln(limit) bytes of list and ints
+    _check_budget(f"primes_upto({limit})", 4.3e-8 * limit, 4 * limit)
     if limit < 2:
         return []
     prime = bytearray([1]) * (limit + 1)

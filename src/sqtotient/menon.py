@@ -29,18 +29,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from functools import cache
+from math import gcd, log, log2
 
 from .core_arith import (
-    BudgetExceededError,
     Factorization,
-    _check_sieve_limit,
+    _check_budget,
     as_factorization,
     divisor_count,
     euler_phi,
     factorize,
 )
 from .phi import phi_k
+from .reporting import _mean_bits
 from .rho import _check_output_bits, _local_count, _prime_count, rho_base_vector, sum_of_squares_census
 
 __all__ = [
@@ -52,19 +53,6 @@ __all__ = [
     "psi_table",
     "psi_multiplicativity_scan",
 ]
-
-# Largest bound^2 x max(k, 64)^1.5 / 8 that psi_table (bound n_max) and
-# psi_multiplicativity_scan run. The weight was fitted when each modulus
-# cost a sum over every unit of its prime-power blocks; each now costs one
-# closed form per prime power, on integers of about k log2(n) bits. For
-# k <= 64 the bound goes up to 2^12: report menon there takes 0.2-0.25 s
-# of CPU on a 2-vCPU VM (5.1 s at k = 64 with the per-unit sums), and
-# report menon-mult -k 3 0.31 s. At the cap for k from 128 to 1000 it
-# takes about 0.3 s; at k = 65536 (bound 22), 0.84-1.18 s in JSON, most of
-# it converting integers of about 300,000 bits to decimal (3.5-3.8 s in the
-# same five alternating runs when they were printed with str()).
-_MAX_SCAN_WORK = 1 << 30
-
 
 @dataclass(frozen=True)
 class MenonRow:
@@ -97,11 +85,12 @@ def menon_classic(n: int) -> tuple[int, int]:
     made by writing each divisor d of n, ascending, at the multiples of d.
     The divisors come by trial, not factorize, to keep the sides independent.
     """
-    import numpy as np
-
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
-    _check_sieve_limit(n, "menon_classic")
+    # five int64 or bool arrays of n + 1 entries at the most
+    _check_budget(f"menon_classic({n})", 3e-8 * n, 25 * n)
+    import numpy as np
+
     g = np.ones(n + 1, dtype=np.int64)
     for d in np.flatnonzero(n % np.arange(1, n + 1) == 0) + 1:
         g[::d] = d
@@ -171,15 +160,20 @@ def menon_lhs_brute(k: int, n: int) -> int:
     )
 
 
-def _check_scan_work(k: int, bound: int, what: str) -> None:
-    work = bound**2 * (isqrt(max(k, 64) ** 3) // 8)
-    if work > _MAX_SCAN_WORK:
-        raise BudgetExceededError(work, _MAX_SCAN_WORK, f"{what} work (bound^2 x max(k, 64)^1.5 / 8)")
+def _pairs(bound: int) -> float:
+    # about the number of coprime pairs m <= n with mn <= bound (fitted)
+    return 0.35 * bound * log(bound) + 1
 
 
-def _psi(k: int, n: int) -> Fraction:
-    f = factorize(n)
-    return Fraction(_menon_lhs(k, f), phi_k(k, f))
+def _scan_cost(k: int, bound: int, pairs: float = 0) -> tuple[float, float]:
+    """Predicted CPU seconds and bytes of psi_k at every n <= bound, plus ``pairs`` rows.
+
+    A modulus takes 2e-5 + 9e-11 B^log2(3) s for B the mean bits of its gcd-sum
+    (fitted for k = 2 to 65536) and a pair 1.2e-5 s; a row holds ~3 B / 8 bytes.
+    """
+    bits = _mean_bits(k, bound)
+    seconds = bound * (2e-5 + 9e-11 * bits ** log2(3)) + 1.2e-5 * pairs
+    return seconds, (bound + pairs) * (bits / 3 + 500)
 
 
 def psi_table(k: int, n_max: int) -> list[MenonRow]:
@@ -190,23 +184,14 @@ def psi_table(k: int, n_max: int) -> list[MenonRow]:
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    _check_scan_work(k, n_max, "psi_table")
+    _check_budget(f"psi_table({k}, {n_max})", *_scan_cost(k, n_max))
     rows = []
     for n in range(1, n_max + 1):
         f = factorize(n)
         lhs = _menon_lhs(k, f)
         value = phi_k(k, f)
         psi = Fraction(lhs, value)
-        rows.append(
-            MenonRow(
-                k=k,
-                n=n,
-                lhs=lhs,
-                phi_k=value,
-                psi=psi,
-                integral=psi.denominator == 1,
-            )
-        )
+        rows.append(MenonRow(k=k, n=n, lhs=lhs, phi_k=value, psi=psi, integral=psi.denominator == 1))
     return rows
 
 
@@ -222,16 +207,8 @@ def psi_multiplicativity_scan(k: int, bound: int) -> list[PsiScanRow]:
         raise ValueError(f"tuple length must be >= 1, got {k}")
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
-    _check_scan_work(k, bound, "psi_multiplicativity_scan")
-    cache: dict[int, Fraction] = {}
-
-    def psi(value: int) -> Fraction:
-        out = cache.get(value)
-        if out is None:
-            out = _psi(k, value)
-            cache[value] = out
-        return out
-
+    _check_budget(f"psi_multiplicativity_scan({k}, {bound})", *_scan_cost(k, bound, _pairs(bound)))
+    psi = cache(lambda n: Fraction(menon_lhs(k, n), phi_k(k, n)))
     rows = []
     for m in range(1, bound + 1):
         for n in range(m, bound // m + 1):
@@ -242,7 +219,5 @@ def psi_multiplicativity_scan(k: int, bound: int) -> list[PsiScanRow]:
             equal = separate == combined
             if not equal:
                 raise ArithmeticError(f"psi_{k} failed multiplicativity at ({m}, {n})")
-            rows.append(
-                PsiScanRow(m=m, n=n, separate=separate, combined=combined, equal=equal)
-            )
+            rows.append(PsiScanRow(m=m, n=n, separate=separate, combined=combined, equal=equal))
     return rows

@@ -35,8 +35,8 @@ product of Python ints, into which the vectors are packed at a fixed
 slot width per residue (Kronecker substitution), and the census is a
 tuple of ints at every n and k. It is the oracle
 (``sum_of_squares_census``, ``rho_brute``) that the tier-1 tests check
-against literal enumeration, bounded by a modulus cap and a work cap
-that refuse before allocating; ``rho`` never reaches it.
+against literal enumeration; a census predicted over the budget is
+refused before allocating, and ``rho`` never reaches it.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import log2
 
-from .core_arith import BudgetExceededError, as_factorization, is_prime
+from .core_arith import BudgetExceededError, _check_budget, as_factorization, is_prime
 
 __all__ = [
     "sum_of_squares_census",
@@ -61,18 +61,6 @@ __all__ = [
     "closed_form_rho4",
     "trig_closed_form_rho8",
 ]
-
-# Largest modulus the census kernel takes: it holds a few integers of at
-# least one 64-bit word per residue (8 MB per word at this cap).
-_CENSUS_MODULUS_CAP = 1 << 20
-
-# The census kernel's cost is its number of integer products times
-# W^log2(3), W the 64-bit words of each factor (CPython multiplies by
-# Karatsuba). A product measured 0.8e-8 to 2.6e-8 s x W^log2(3) of CPU: the
-# most at many residues of one word or less (n = 10007, k = 12: 5.0e7,
-# 1.3 s), the least at many words per residue (n = 64, k = 5000: 2.0e8,
-# 1.7 s). So this cap admits about 4 s at the most.
-_CENSUS_WORK_CAP = 150_000_000
 
 # Largest count, in bits, that a closed form may build. -k reaches 2^63 - 1
 # on the CLI and a count near n^k has about k log2 n bits; at this cap it
@@ -95,8 +83,8 @@ def sum_of_squares_census(k: int, n: int) -> tuple[int, ...]:
     cyclic convolution of the one-coordinate square census, built by
     repeated squaring, each convolution one product of Python ints (Kronecker
     substitution): O(log k) products of about k n log2(n) bits. Tier-1 tests
-    check it against literal enumeration. A modulus over the kernel's cap,
-    or a predicted cost over its work cap, is refused before allocating.
+    check it against literal enumeration. It is refused, before allocating,
+    if predicted over the budget.
     """
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
@@ -114,8 +102,6 @@ def _power_census(k: int, n: int) -> tuple[int, ...]:
     item of 1, 2, 4 or 8 bytes that holds every entry, or ``m`` 64-bit
     words once an entry needs more than one.
     """
-    if n > _CENSUS_MODULUS_CAP:
-        raise BudgetExceededError(n, _CENSUS_MODULUS_CAP, f"census at modulus {n}")
     # every entry, and every entry of a product before the fold, counts
     # tuples, so it is below n^k <= 2^bits: no slot carries into the next
     bits = k * (n - 1).bit_length()
@@ -123,11 +109,15 @@ def _power_census(k: int, n: int) -> tuple[int, ...]:
     item = array(code).itemsize
     m = max(1, -(-bits // (8 * item)))  # items per residue, over 1 only for "Q"
     size = m * item  # bytes per residue
-    # one product per squaring and per further set bit of k
+    # One product per squaring and per further set bit of k, each 5.5e-9 s x
+    # D^log2(3) for D the 30-bit digits of a packed int (Karatsuba). Below 256
+    # residues zero-padded slots split off: D is scaled by bits(n - 1) / 8,
+    # fitted for n = 2 to 10007 (n = 2 is overpriced 2-5 times from k = 2e6).
+    # A residue adds 4.4e-7 s and 9 size + 36 bytes (a few packed ints alive).
     products = k.bit_length() + bin(k).count("1") - 2
-    work = products * round((size * n / 8) ** log2(3))
-    if work > _CENSUS_WORK_CAP:
-        raise BudgetExceededError(work, _CENSUS_WORK_CAP, f"census work at modulus {n}, k = {k}")
+    digits = 8 * size * n / 30 * min(1.0, (n - 1).bit_length() / 8)
+    seconds = 5.5e-9 * products * digits ** log2(3) + 4.4e-7 * n
+    _check_budget(f"the census at modulus {n}, k = {k}", seconds, (9 * size + 36) * n)
     squares = [0] * n
     for x in range(n):
         squares[x * x % n] += 1

@@ -37,3 +37,40 @@ def naive_is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+@pytest.fixture
+def price(monkeypatch):
+    """price(module, call): the first (what, seconds, bytes) ``call`` passes to
+    ``module._check_budget``. The call stops there, before any of the work
+    it prices."""
+
+    class Priced(Exception):
+        pass
+
+    def record(*cost):
+        raise Priced(cost)
+
+    def measure(module, call):
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "_check_budget", record)
+            with pytest.raises(Priced) as info:
+                call()
+        return info.value.args[0]
+
+    return measure
+
+
+@pytest.fixture
+def admitted(price):
+    """admitted(module, call): whether the budget admits the price of ``call``."""
+    from sqtotient.core_arith import BudgetExceededError, _check_budget
+
+    def check(module, call) -> bool:
+        try:
+            _check_budget(*price(module, call))
+        except BudgetExceededError:
+            return False
+        return True
+
+    return check

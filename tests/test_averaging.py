@@ -23,7 +23,6 @@ from sqtotient import (
 )
 from sqtotient.averaging import (
     _BLOCK,
-    _MAX_PRIMORIAL_PRIMES,
     _Family,
     _beta_fixed,
     _euler_family,
@@ -383,6 +382,15 @@ class TestAveragingReport:
             (row.partial_sum - row.main_term) / expected_scale, rel=1e-9
         )
 
+    def test_main_term_stays_a_float(self):
+        # C_k x^(k+1) / (k+1) is a float column: x^(k+1) / (k+1) must stay below
+        # 2^1024, and the error scale x^k R_k(x) is taken in mpmath
+        for k, x in ((60, 120954), (400, 5)):
+            row = averaging_report(k, [x])[0]
+            assert all(math.isfinite(v) for v in (row.main_term, row.rel_error, row.error_ratio))
+            with pytest.raises(ValueError, match="past the float range"):
+                averaging_report(k, [x + 1])
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             averaging_report(1, [])
@@ -453,14 +461,18 @@ class TestMinimalOrder:
         rows = minimal_order_scan(2, 5, experimental=True)
         assert len(rows) == 3
 
-    def test_budget(self):
-        with pytest.raises(BudgetExceededError):
+    def test_budget(self, admitted):
+        # the rows hold every primorial: 22,097 of them fill the 500 MB budget
+        assert admitted(averaging, lambda: minimal_order_scan(1, 22_097))
+        assert not admitted(averaging, lambda: minimal_order_scan(1, 22_098))
+        with pytest.raises(BudgetExceededError, match=r"of minimal_order_scan\(1, 100000\) \(predicted 31.2 s of CPU"):
             minimal_order_scan(1, 100000)
 
     def test_prime_bound_holds_every_allowed_count(self):
-        # minimal_order_scan takes the first m primes from primes_upto(max(15 m, 30))
-        primes = primes_upto(15 * _MAX_PRIMORIAL_PRIMES)
-        for m in range(3, _MAX_PRIMORIAL_PRIMES + 1):
+        # minimal_order_scan takes the first m primes from primes_upto(max(15 m, 30));
+        # the budget admits m up to 22,097
+        primes = primes_upto(15 * 22_097)
+        for m in range(3, 22_097 + 1):
             assert bisect_right(primes, max(15 * m, 30)) >= m, m
 
     def test_output_size_guard(self):

@@ -16,7 +16,9 @@ import pytest
 from click.testing import CliRunner
 
 import sqtotient
-from sqtotient.cli import INT64_MAX, MAX_RANGE_OUTPUT, _check_range_output, main
+import sqtotient.averaging as averaging
+import sqtotient.cli as cli
+from sqtotient.cli import INT64_MAX, main
 from sqtotient.phi import phi_k
 from sqtotient.rho import trig_closed_form_rho8
 
@@ -70,26 +72,34 @@ class TestPhiCommand:
         assert run(runner, "phi", "-k", "0", "-n", "5").exit_code == 2
         assert run(runner, "phi", "-k", "1", "-n", str(2**63)).exit_code == 2
 
-    def test_range_output_budget(self, runner):
-        # 456,522 rows at k = 8 measured 719 MB of peak RSS in JSON; one more is refused
-        _check_range_output(8, 456522)
+    def test_range_output_budget(self, runner, admitted):
+        # the table and the writing of its rows, priced together: in JSON the
+        # CPU limit binds at 717,432 rows at k = 8 and 12,226 at k = 1000
+        for k, x in ((8, 717_432), (1000, 12_226)):
+            args = ["phi", "-k", str(k), "--format", "json", "--range"]
+            assert admitted(cli, lambda: main([*args, str(x)], standalone_mode=False))
+            assert not admitted(cli, lambda: main([*args, str(x + 1)], standalone_mode=False))
         tracemalloc.start()
         try:
-            result = run(runner, "phi", "-k", "8", "--range", "456523", "--format", "json")
+            result = run(runner, "phi", "-k", "8", "--range", "717433", "--format", "json")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert result.exit_code == 3
-        assert f"phi --range output (x (k log2 x + 1024)) needs a budget of {456523 * (8 * 19 + 1024)}" in result.output
-        assert f"over the limit of {MAX_RANGE_OUTPUT}" in result.output
+        assert "CPU milliseconds of phi --range 717433 at k = 8 (predicted 4 s of CPU and 47.1 MB)" in result.output
+        assert "over the limit of 4000" in result.output
         assert "Traceback" not in result.output
         assert peak < 10**7
 
-    def test_sieve_size_guard(self, runner):
-        # a sieve table at 3 * 10^8 would take 2.4 GB per array
-        for args in (
-            ("phi", "-k", "2", "--range", "300000000"),
-            ("report", "average", "-k", "1", "--xs", "3,300000000"),
+    def test_sieve_size_guard(self, runner, admitted):
+        # an int64 table takes 16 bytes an entry with its sieve, and 48 as a
+        # list: at 3 * 10^8 entries that is 4.8 and 14.4 GB
+        average = ["report", "average", "-k", "1", "--xs"]
+        assert admitted(averaging, lambda: main([*average, "31250000"], standalone_mode=False))
+        assert not admitted(averaging, lambda: main([*average, "31250001"], standalone_mode=False))
+        for args, what in (
+            (("phi", "-k", "2", "--range", "300000000"), "phi --range 300000000 at k = 2"),
+            ((*average, "3,300000000"), "a table of 300000000 values at k = 1"),
         ):
             tracemalloc.start()
             try:
@@ -98,8 +108,42 @@ class TestPhiCommand:
             finally:
                 tracemalloc.stop()
             assert result.exit_code == 3
-            assert "sieve limit needs a budget of 300000000" in result.output
+            assert f"of {what} (predicted" in result.output
             assert peak < 10**7
+
+    def test_average_table_refused_before_allocating(self, runner):
+        # k = 8 to 2^24 is a table of 16.8 million Python ints, about 1.2 GB
+        import mpmath  # noqa: F401  (loaded before tracing starts)
+        import numpy  # noqa: F401
+
+        tracemalloc.start()
+        try:
+            result = run(runner, "report", "average", "-k", "8", "--xs", "16777216")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 3
+        assert "megabytes of a table of 16777216 values at k = 8 (predicted" in result.output
+        assert "Traceback" not in result.output
+        assert peak < 50 * 10**6
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_average_at_large_k(self, runner, fmt):
+        # x^(k+1) / (k+1) must stay below 2^1024 for the float main term;
+        # every value printed is finite
+        result = run(runner, "report", "average", "-k", "60", "--xs", "1000,120954", "--format", fmt, "--no-meta")
+        assert result.exit_code == 0
+        for word in ("inf", "Infinity", "nan", "NaN"):
+            assert word not in result.output
+        if fmt == "json":
+            rows = json.loads(result.output)["rows"]
+            assert [row["x"] for row in rows] == ["1000", "120954"]
+            assert all(abs(row[col]) < float("inf") for row in rows for col in ("main_term", "rel_error", "error_ratio"))
+        for k, xs in (("60", "1000,120955"), ("400", "10"), ("62", "100000")):
+            refused = run(runner, "report", "average", "-k", k, "--xs", xs, "--format", fmt)
+            assert refused.exit_code == 2
+            assert "past the float range: x^(k+1) / (k+1) >= 2^1024" in refused.output
+            assert "Traceback" not in refused.output
 
 
 class TestRhoCommand:
@@ -277,21 +321,31 @@ class TestReportCommand:
         document = json.loads(result.output)
         assert all(set(row) == {"m", "n", "psi_m_psi_n", "psi_mn", "equal"} for row in document["rows"])
 
-    @pytest.mark.parametrize("kind, option", [("menon", "--nmax"), ("menon-mult", "--bound")])
-    def test_menon_bound_cap_exit_code(self, runner, kind, option):
-        for value in (2**12 + 1, 2**63 - 1):
-            result = run(runner, "report", kind, "-k", "2", option, str(value))
+    @pytest.mark.parametrize(
+        "kind, option, largest", [("menon", "--nmax", 159_193), ("menon-mult", "--bound", 49_103)]
+    )
+    def test_menon_bound_cap_exit_code(self, runner, admitted, kind, option, largest):
+        # plain text at k = 2: the scan and the writing of its rows priced together
+        args = ["report", kind, "-k", "2", option]
+        assert admitted(cli, lambda: main([*args, str(largest)], standalone_mode=False))
+        assert not admitted(cli, lambda: main([*args, str(largest + 1)], standalone_mode=False))
+        for value in (largest + 1, 2**63 - 1):
+            result = run(runner, *args, str(value))
             assert result.exit_code == 3
-            assert f"over the limit of {2**30}" in result.output
+            assert f"report {kind} at k = 2" in result.output
+            assert "(predicted" in result.output and "over the limit of 4000" in result.output
             assert "Traceback" not in result.output
 
-    def test_menon_cap_bounds_k(self, runner):
-        # n_max = 4096 is admitted at k = 2 but would take minutes at k = 1000
-        started = time.process_time()
-        result = run(runner, "report", "menon", "-k", "1000", "--nmax", "4096")
+    def test_menon_cap_bounds_k(self, runner, admitted):
+        # a modulus costs more at larger k: k = 1000 stops at 5,110 moduli,
+        # k = 65536 at 41
+        for k, largest in ((1000, 5110), (65536, 41)):
+            args = ["report", "menon", "-k", str(k), "--nmax"]
+            assert admitted(cli, lambda: main([*args, str(largest)], standalone_mode=False))
+            assert not admitted(cli, lambda: main([*args, str(largest + 1)], standalone_mode=False))
+        result = run(runner, "report", "menon", "-k", "1000", "--nmax", "5111")
         assert result.exit_code == 3
-        assert "psi_table work" in result.output
-        assert time.process_time() - started < 1
+        assert "CPU milliseconds of report menon at k = 1000, n <= 5111 (predicted 4 s of CPU" in result.output
 
 
 # Every integer option of every subcommand, with arguments that are valid
@@ -339,10 +393,15 @@ class TestIntegerContract:
             assert result.exit_code == 2
             assert "Traceback" not in result.output
 
-    def test_primorial_scan_length_is_a_budget(self, runner):
-        result = run(runner, "report", "minimal-order", "-k", "1", "--primes", "10001")
+    def test_primorial_scan_length_is_a_budget(self, runner, admitted):
+        # writing the primorials in full takes most of the time: 3,570 of
+        # them in plain text
+        args = ["report", "minimal-order", "-k", "1", "--primes"]
+        assert admitted(cli, lambda: main([*args, "3570"], standalone_mode=False))
+        assert not admitted(cli, lambda: main([*args, "3571"], standalone_mode=False))
+        result = run(runner, *args, "10001")
         assert result.exit_code == 3
-        assert "primorial scan length" in result.output
+        assert "CPU milliseconds of report minimal-order of 10001 primes (predicted" in result.output
         assert "Traceback" not in result.output
 
 
@@ -387,16 +446,27 @@ class TestOutputContract:
         assert result.exit_code == 1
 
     @pytest.mark.parametrize(
-        "args",
-        [["phi", "-k", "8", "--range", "456523"], ["report", "menon", "-k", "2", "--nmax", "4097"]],
-        ids=["phi --range", "report menon"],
+        "module, args",
+        [
+            (cli, ["phi", "-k", "8", "--range", "1463749"]),
+            (cli, ["report", "menon", "-k", "2", "--nmax", "159194"]),
+            (cli, ["report", "menon-mult", "-k", "3", "--bound", "49093"]),
+            (cli, ["report", "minimal-order", "-k", "3", "--primes", "3571"]),
+            (averaging, ["report", "average", "-k", "8", "--xs", "7295720"]),
+        ],
+        ids=["phi --range", "report menon", "report menon-mult", "report minimal-order", "report average"],
     )
-    def test_refusal_leaves_out_untouched(self, runner, tmp_path, args):
+    def test_refusal_leaves_out_untouched(self, runner, admitted, tmp_path, module, args):
+        # each command's first refused input, in plain text; one less is admitted
+        smaller = [*args[:-1], str(int(args[-1]) - 1)]
+        assert admitted(module, lambda: main(smaller, standalone_mode=False))
         existing, absent = tmp_path / "existing.txt", tmp_path / "absent.txt"
         existing.write_text("kept\n")
         for target in (existing, absent):
             result = run(runner, *args, "--out", str(target))
             assert result.exit_code == 3
+            assert "(predicted" in result.output and " s of CPU and " in result.output
+            assert "Traceback" not in result.output
         assert existing.read_text() == "kept\n"
         assert not absent.exists()
 

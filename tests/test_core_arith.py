@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import factorint, nextprime
 
+import sqtotient.core_arith as core_arith
 from sqtotient import BudgetExceededError, build_spf, factorize
 from sqtotient.core_arith import (
     Factorization,
@@ -35,10 +36,20 @@ class TestSpfTable:
         with pytest.raises(ValueError):
             build_spf(1)
 
-    def test_size_guard(self):
-        with pytest.raises(BudgetExceededError, match="build_spf sieve limit") as info:
-            build_spf(2**24 + 1)
-        assert (info.value.required, info.value.budget) == (2**24 + 1, 2**24)
+    def test_size_guard(self, admitted):
+        # 8 bytes an entry: 62.5 million entries fill the 500 MB budget
+        assert admitted(core_arith, lambda: build_spf(62_500_000))
+        assert not admitted(core_arith, lambda: build_spf(62_500_001))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match=r"megabytes of build_spf\(62500001\) \(predicted") as info:
+                build_spf(62_500_001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (info.value.required, info.value.budget) == (501, 500)
+        assert "s of CPU and 500 MB" in str(info.value)
+        assert peak < 10**7
 
     def test_invariants(self):
         spf = build_spf(2000)
@@ -58,20 +69,21 @@ class TestSpfTable:
         assert primes == [n for n in range(2001) if naive_is_prime(n)]
         assert all(type(p) is int for p in primes)
 
-    def test_primes_upto_size_guard(self):
+    def test_primes_upto_size_guard(self, admitted):
         from sqtotient.core_arith import primes_upto
 
-        started = time.process_time()
+        # 4.3e-8 s an entry: the CPU limit of 4 s binds first, at 372 MB
+        assert admitted(core_arith, lambda: primes_upto(93_023_255))
+        assert not admitted(core_arith, lambda: primes_upto(93_023_256))
         tracemalloc.start()
         try:
-            with pytest.raises(BudgetExceededError, match="primes_upto sieve limit") as info:
-                primes_upto(2**24 + 1)
+            with pytest.raises(BudgetExceededError, match=r"CPU milliseconds of primes_upto\(93023256\) \(predicted 4 s") as info:
+                primes_upto(93_023_256)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (info.value.required, info.value.budget) == (2**24 + 1, 2**24)
+        assert (info.value.required, info.value.budget) == (4001, 4000)
         assert peak < 10**7
-        assert time.process_time() - started < 0.5
 
 
 class TestFactorize:

@@ -1,6 +1,7 @@
 """Gcd-sum identities and the candidate cofactor scans."""
 
-import time
+import sys
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -17,7 +18,9 @@ from sqtotient import (
     rho,
 )
 from sqtotient.core_arith import divisor_count, euler_phi
-from sqtotient.menon import _check_scan_work, menon_lhs_brute
+from sqtotient.menon import menon_lhs_brute
+
+MENON = sys.modules["sqtotient.menon"]
 
 
 class TestClassicIdentity:
@@ -37,13 +40,19 @@ class TestClassicIdentity:
             literal = sum(gcd(j - 1, n) for j in range(1, n + 1) if gcd(j, n) == 1)
             assert menon_classic(n)[0] == literal, n
 
-    def test_modulus_cap_refuses_before_allocating(self):
-        start = time.process_time()
-        with pytest.raises(BudgetExceededError):
-            menon_classic(2**24 + 1)
-        with pytest.raises(BudgetExceededError):
-            menon_classic(10**12)
-        assert time.process_time() - start < 0.1
+    def test_modulus_cap_refuses_before_allocating(self, admitted):
+        # 25 bytes a residue: 20 million residues fill the 500 MB budget
+        assert admitted(MENON, lambda: menon_classic(20_000_000))
+        assert not admitted(MENON, lambda: menon_classic(20_000_001))
+        tracemalloc.start()
+        try:
+            for n in (20_000_001, 10**12):
+                with pytest.raises(BudgetExceededError, match=rf"of menon_classic\({n}\) \(predicted"):
+                    menon_classic(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
 
 
 class TestTupleGcdSum:
@@ -119,27 +128,25 @@ class TestPsiTable:
             assert (row.psi == 1) == (row.lhs == row.phi_k)
             assert row.phi_k == phi_k(row.k, row.n)
 
-    def test_bound_cap_refuses_before_any_work(self):
-        for bound in (2**12 + 1, 2**63 - 1):
-            with pytest.raises(BudgetExceededError):
-                psi_table(2, bound)
-            with pytest.raises(BudgetExceededError):
-                psi_multiplicativity_scan(2, bound)
+    def test_bound_cap_refuses_before_any_work(self, admitted):
+        # about 2e-5 s a modulus at k = 2, and 1.2e-5 s more a coprime pair
+        assert admitted(MENON, lambda: psi_table(2, 199_777))
+        assert not admitted(MENON, lambda: psi_table(2, 199_778))
+        assert admitted(MENON, lambda: psi_multiplicativity_scan(2, 60_373))
+        assert not admitted(MENON, lambda: psi_multiplicativity_scan(2, 60_374))
+        for scan in (psi_table, psi_multiplicativity_scan):
+            with pytest.raises(BudgetExceededError, match=rf"{scan.__name__}\(2, {2**63 - 1}\) \(predicted"):
+                scan(2, 2**63 - 1)
 
-    def test_work_cap_weighs_k(self):
-        # k <= 64 keeps bounds up to 2^12; larger k pay k^1.5 per bound^2
-        for k in (1, 2, 64):
-            _check_scan_work(k, 2**12, "scan")
-            with pytest.raises(BudgetExceededError, match="scan work"):
-                _check_scan_work(k, 2**12 + 1, "scan")
-        _check_scan_work(1000, 521, "scan")
-        started = time.process_time()
-        for bound in (522, 2**12):
-            with pytest.raises(BudgetExceededError):
-                psi_table(1000, bound)
-            with pytest.raises(BudgetExceededError):
-                psi_multiplicativity_scan(1000, bound)
-        assert time.process_time() - started < 0.1
+    def test_work_cap_weighs_k(self, admitted):
+        # a modulus costs 9e-11 s x B^log2(3) more for B = k log2(n) bits
+        for k, table, scan in ((64, 158_556, 56_777), (1000, 13_645, 12_228), (65536, 82, 82)):
+            assert admitted(MENON, lambda: psi_table(k, table)), k
+            assert not admitted(MENON, lambda: psi_table(k, table + 1)), k
+            assert admitted(MENON, lambda: psi_multiplicativity_scan(k, scan)), k
+            assert not admitted(MENON, lambda: psi_multiplicativity_scan(k, scan + 1)), k
+        with pytest.raises(BudgetExceededError, match=r"CPU milliseconds of psi_table\(65536, 83\)"):
+            psi_table(65536, 83)
 
     def test_first_order_cofactor_is_not_asserted_closed_form(self):
         # k = 1 cofactors are computed, not asserted against any formula;

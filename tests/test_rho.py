@@ -22,6 +22,8 @@ from sqtotient.rho import (
 )
 from conftest import naive_census
 
+RHO = sys.modules["sqtotient.rho"]
+
 
 class TestCensusKernel:
     def test_matches_naive_enumeration(self):
@@ -46,16 +48,17 @@ class TestCensusKernel:
             assert value == 2**63
 
     def test_budget_names_requirement(self):
-        # entries of 1910 bits, 30 words per residue: 13 products of
-        # 30,000 words, 13 x round(30000^log2(3))
+        # 12 products of 64,000-digit integers, predicted over 4 s of CPU
         with pytest.raises(BudgetExceededError) as info:
-            sum_of_squares_census(191, 1000)
-        assert info.value.required == 162_185_738
-        assert info.value.budget == 150_000_000
-        assert "needs a budget of 162185738, over the limit of 150000000" in str(info.value)
+            sum_of_squares_census(239, 1000)
+        assert (info.value.required, info.value.budget) == (4313, 4000)
+        assert str(info.value) == (
+            "CPU milliseconds of the census at modulus 1000, k = 239 (predicted 4.31 s of CPU"
+            " and 2.77 MB) needs a budget of 4313, over the limit of 4000"
+        )
 
     def test_budget_refuses_huge_k_without_the_power(self):
-        # entries of 2 (2^63 - 1) bits each: the work cap refuses every oracle
+        # entries of 2 (2^63 - 1) bits each: the budget refuses every oracle
         # from k and n alone, before any power is built
         oracles = (
             lambda k: sum_of_squares_census(k, 3),
@@ -72,16 +75,19 @@ class TestCensusKernel:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert f"census work at modulus 3, k = {2**63 - 1}" in str(info.value)
+            assert f"the census at modulus 3, k = {2**63 - 1} (predicted" in str(info.value)
             assert type(info.value.required) is int
             assert peak < 10**7
             assert time.process_time() - started < 0.5
         # at n = 1 every entry is 0 bits wide: the census stays one slot
         assert sum_of_squares_census(2**63 - 1, 1) == (1,)
 
-    def test_census_modulus_cap(self):
-        # the modulus cap refuses 10^8 before the census builds its
-        # 10^8-slot integers (800 MB each)
+    def test_census_modulus_cap(self, admitted):
+        # k = 1: about 72 bytes a residue, so the byte limit binds at
+        # 6,944,444 residues; 10^8 is refused before the census builds its
+        # 10^8-slot integers
+        assert admitted(RHO, lambda: sum_of_squares_census(1, 6_944_444))
+        assert not admitted(RHO, lambda: sum_of_squares_census(1, 6_944_445))
         tracemalloc.start()
         try:
             with pytest.raises(BudgetExceededError) as info:
@@ -89,13 +95,13 @@ class TestCensusKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert "census at modulus 100000000" in str(info.value)
+        assert "the census at modulus 100000000, k = 1 (predicted 44 s of CPU and 7.2e+03 MB)" in str(info.value)
         assert peak < 10**7
 
-    def test_work_cap_refuses_before_allocating(self):
-        # one product of 2^20-word integers weighs (2^20)^log2(3) = 3^20,
-        # about a minute of CPU
-        started = time.process_time()
+    def test_work_cap_refuses_before_allocating(self, admitted):
+        # one product of 2^20-word integers: over a minute of CPU
+        assert admitted(RHO, lambda: sum_of_squares_census(2, 180_531))
+        assert not admitted(RHO, lambda: sum_of_squares_census(2, 180_532))
         tracemalloc.start()
         try:
             with pytest.raises(BudgetExceededError) as info:
@@ -103,20 +109,30 @@ class TestCensusKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert info.value.required == 3**20
-        assert "census work at modulus 1048576" in str(info.value)
+        assert info.value.required == 64190
+        assert "the census at modulus 1048576, k = 2 (predicted 64.2 s of CPU" in str(info.value)
         assert peak < 10**7
-        assert time.process_time() - started < 0.5
 
-    def test_work_cap_weighs_python_int_entries(self):
-        # 19 products of integers of 256 x 4000 words (entries of 32000 x 8
-        # bits): 19 x round(1024000^log2(3)); minutes of CPU
-        started = time.process_time()
+    def test_work_cap_weighs_python_int_entries(self, admitted):
+        # entries of 8 k bits, 256 residues: k = 1080 is the last one in
+        # the budget, and k = 32000 (20 minutes predicted) is refused
+        assert admitted(RHO, lambda: sum_of_squares_census(1080, 256))
+        assert not admitted(RHO, lambda: sum_of_squares_census(1081, 256))
         with pytest.raises(BudgetExceededError) as info:
             sum_of_squares_census(32000, 256)
-        assert info.value.required == 63_804_843_882
-        assert "census work at modulus 256, k = 32000" in str(info.value)
-        assert time.process_time() - started < 0.5
+        assert info.value.required == 1166171
+        assert "the census at modulus 256, k = 32000 (predicted 1.17e+03 s of CPU" in str(info.value)
+
+    def test_census_estimate_weighs_the_modulus(self, price, admitted):
+        # the largest k each modulus admits, and the price of two censuses
+        # that the per-word work cap once priced the same: 0.1 s at n = 2
+        # and 2.4-3.8 s at n = 1000
+        for n, k in ((2, 5_152_038), (3, 906_930), (64, 6928), (1000, 238), (10007, 24)):
+            assert admitted(RHO, lambda: sum_of_squares_census(k, n)), (n, k)
+            assert not admitted(RHO, lambda: sum_of_squares_census(k + 1, n)), (n, k)
+        _, cheap, _ = price(RHO, lambda: sum_of_squares_census(491_518, 2))
+        _, dear, _ = price(RHO, lambda: sum_of_squares_census(187, 1000))
+        assert dear > 10 * cheap
 
     def test_entries_wider_than_one_word(self):
         # k (n - 1).bit_length() > 64 packs each entry into two or more
