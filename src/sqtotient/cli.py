@@ -2,8 +2,8 @@
 
 Exit codes: 0 success / all checks pass, 1 verification failure (or I/O
 failure while writing a report), 2 usage error (an option out of range or
-any argument the library refuses), 3 a resource guard refused the
-computation.
+any argument the library refuses), 3 the budget of predicted CPU time and
+memory, or a guard on the size of one value, refused the computation.
 """
 
 from __future__ import annotations

@@ -3,7 +3,9 @@
 Everything here works with unbounded Python integers; nothing ever wraps
 silently. Bulk tables are filled over an SPF (smallest prime factor)
 sieve; single values get trial division up to a fixed bound followed by
-Miller-Rabin plus Brent-style rho splitting for anything larger.
+Miller-Rabin plus Brent-style rho splitting for anything larger. Every
+computation priced by its arguments passes its predicted CPU seconds and
+peak bytes to ``_check_budget``, which refuses it before any work.
 """
 
 from __future__ import annotations
@@ -55,11 +57,12 @@ class BudgetExceededError(RuntimeError):
 
 def _check_budget(what: str, seconds: float, nbytes: float) -> None:
     """Refuse ``what`` if its predicted CPU seconds or peak bytes are over the limits."""
+    if seconds <= _CPU_LIMIT and nbytes <= _BYTE_LIMIT:
+        return
     predicted = f"{what} (predicted {seconds:.3g} s of CPU and {nbytes / 1e6:.3g} MB)"
     if seconds > _CPU_LIMIT:
         raise BudgetExceededError(ceil(seconds * 1000), round(_CPU_LIMIT * 1000), f"CPU milliseconds of {predicted}")
-    if nbytes > _BYTE_LIMIT:
-        raise BudgetExceededError(ceil(nbytes / 1e6), _BYTE_LIMIT // 10**6, f"megabytes of {predicted}")
+    raise BudgetExceededError(ceil(nbytes / 1e6), _BYTE_LIMIT // 10**6, f"megabytes of {predicted}")
 
 
 @dataclass(frozen=True)

@@ -32,14 +32,7 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, log, log2
 
-from .core_arith import (
-    Factorization,
-    _check_budget,
-    as_factorization,
-    divisor_count,
-    euler_phi,
-    factorize,
-)
+from .core_arith import Factorization, _check_budget, as_factorization, divisor_count, euler_phi, factorize
 from .phi import phi_k
 from .reporting import _mean_bits
 from .rho import _check_output_bits, _local_count, _prime_count, rho_base_vector, sum_of_squares_census
@@ -168,11 +161,11 @@ def _pairs(bound: int) -> float:
 def _scan_cost(k: int, bound: int, pairs: float = 0) -> tuple[float, float]:
     """Predicted CPU seconds and bytes of psi_k at every n <= bound, plus ``pairs`` rows.
 
-    A modulus takes 2e-5 + 9e-11 B^log2(3) s for B the mean bits of its gcd-sum
+    A modulus takes 2e-5 + 8e-11 B^log2(3) s for B the mean bits of its gcd-sum
     (fitted for k = 2 to 65536) and a pair 1.2e-5 s; a row holds ~3 B / 8 bytes.
     """
     bits = _mean_bits(k, bound)
-    seconds = bound * (2e-5 + 9e-11 * bits ** log2(3)) + 1.2e-5 * pairs
+    seconds = bound * (2e-5 + 8e-11 * bits ** log2(3)) + 1.2e-5 * pairs
     return seconds, (bound + pairs) * (bits / 3 + 500)
 
 

@@ -105,15 +105,15 @@ def _write_cost(rows: float, cells, fmt: str, work=(0.0, 0.0)) -> tuple[float, f
 
     ``cells`` holds the bit length of each cell of a row (53 for a float).
     A cell takes 6.3e-7 s (CSV) to 1.8e-6 s (JSON), fitted on small ints, and
-    ``_int_str`` 2e-12 s x b^2 below 32,000 bits and 7e-10 s x b^1.4 above.
+    ``_int_str`` 2e-12 s x b^2 below 32,000 bits and 6e-10 s x b^1.4 above.
     CSV and JSON hold a few copies of one batch of text; plain text holds
     every cell string, 49 bytes plus its digits, until the last row.
     """
     per_cell = {"plain": 8.5e-7, "csv": 6.3e-7, "json": 1.8e-6}[fmt]
-    seconds = rows * sum(per_cell + min(2e-12 * b * b, 7e-10 * b**1.4) for b in cells)
+    seconds = rows * sum(per_cell + min(2e-12 * b * b, 6e-10 * b**1.4) for b in cells)
     text = sum(0.302 * b + 3 for b in cells)
     held = rows * (text + 49 * len(cells) + 64) if fmt == "plain" else 0
-    return work[0] + seconds, work[1] + held + 4 * min(rows, _BATCH_ROWS) * text
+    return work[0] + seconds, work[1] + held + 3 * min(rows, _BATCH_ROWS) * text
 
 
 def _mean_bits(k: int, x: int) -> float:

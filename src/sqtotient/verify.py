@@ -36,7 +36,7 @@ __all__ = ["Check", "DEFAULT_GUARD", "SuiteResult", "SUITES", "run_suite"]
 
 # Default guard: the largest n^k at which a check compares against the
 # census (``--max-enum``). It sets coverage only; the census kernel has
-# its own modulus and work caps.
+# its own budget of predicted CPU time and memory.
 DEFAULT_GUARD = 10**8
 
 
@@ -114,7 +114,7 @@ def _closed_forms():
 
 
 def _census_totals(n_max: int):
-    # not guarded: n <= 64 and k <= 8 are far inside the kernel's caps
+    # not guarded: n <= 64 and k <= 8 are far inside the kernel's budget
     for n in range(1, n_max + 1):
         for k in range(1, 9):
             yield f"n={n} k={k}" if sum(sum_of_squares_census(k, n)) != n**k else None

@@ -130,23 +130,23 @@ class TestPsiTable:
 
     def test_bound_cap_refuses_before_any_work(self, admitted):
         # about 2e-5 s a modulus at k = 2, and 1.2e-5 s more a coprime pair
-        assert admitted(MENON, lambda: psi_table(2, 199_777))
-        assert not admitted(MENON, lambda: psi_table(2, 199_778))
-        assert admitted(MENON, lambda: psi_multiplicativity_scan(2, 60_373))
-        assert not admitted(MENON, lambda: psi_multiplicativity_scan(2, 60_374))
+        assert admitted(MENON, lambda: psi_table(2, 199_802))
+        assert not admitted(MENON, lambda: psi_table(2, 199_803))
+        assert admitted(MENON, lambda: psi_multiplicativity_scan(2, 60_375))
+        assert not admitted(MENON, lambda: psi_multiplicativity_scan(2, 60_376))
         for scan in (psi_table, psi_multiplicativity_scan):
             with pytest.raises(BudgetExceededError, match=rf"{scan.__name__}\(2, {2**63 - 1}\) \(predicted"):
                 scan(2, 2**63 - 1)
 
     def test_work_cap_weighs_k(self, admitted):
-        # a modulus costs 9e-11 s x B^log2(3) more for B = k log2(n) bits
-        for k, table, scan in ((64, 158_556, 56_777), (1000, 13_645, 12_228), (65536, 82, 82)):
+        # a modulus costs 8e-11 s x B^log2(3) more for B about k log2(n) bits
+        for k, table, scan in ((64, 162_192, 57_154), (1000, 14_980, 13_271), (65536, 89, 89)):
             assert admitted(MENON, lambda: psi_table(k, table)), k
             assert not admitted(MENON, lambda: psi_table(k, table + 1)), k
             assert admitted(MENON, lambda: psi_multiplicativity_scan(k, scan)), k
             assert not admitted(MENON, lambda: psi_multiplicativity_scan(k, scan + 1)), k
-        with pytest.raises(BudgetExceededError, match=r"CPU milliseconds of psi_table\(65536, 83\)"):
-            psi_table(65536, 83)
+        with pytest.raises(BudgetExceededError, match=r"CPU milliseconds of psi_table\(65536, 90\)"):
+            psi_table(65536, 90)
 
     def test_first_order_cofactor_is_not_asserted_closed_form(self):
         # k = 1 cofactors are computed, not asserted against any formula;

@@ -114,20 +114,20 @@ class TestCensusKernel:
         assert peak < 10**7
 
     def test_work_cap_weighs_python_int_entries(self, admitted):
-        # entries of 8 k bits, 256 residues: k = 1080 is the last one in
-        # the budget, and k = 32000 (20 minutes predicted) is refused
-        assert admitted(RHO, lambda: sum_of_squares_census(1080, 256))
-        assert not admitted(RHO, lambda: sum_of_squares_census(1081, 256))
+        # entries of 8 k bits, 256 residues: k = 1194 is the last one in
+        # the budget, and k = 32000 (16 minutes predicted) is refused
+        assert admitted(RHO, lambda: sum_of_squares_census(1194, 256))
+        assert not admitted(RHO, lambda: sum_of_squares_census(1195, 256))
         with pytest.raises(BudgetExceededError) as info:
             sum_of_squares_census(32000, 256)
-        assert info.value.required == 1166171
-        assert "the census at modulus 256, k = 32000 (predicted 1.17e+03 s of CPU" in str(info.value)
+        assert info.value.required == 967581
+        assert "the census at modulus 256, k = 32000 (predicted 968 s of CPU" in str(info.value)
 
     def test_census_estimate_weighs_the_modulus(self, price, admitted):
         # the largest k each modulus admits, and the price of two censuses
         # that the per-word work cap once priced the same: 0.1 s at n = 2
         # and 2.4-3.8 s at n = 1000
-        for n, k in ((2, 5_152_038), (3, 906_930), (64, 6928), (1000, 238), (10007, 24)):
+        for n, k in ((2, 17_580_886), (3, 1_006_742), (64, 6942), (1000, 238), (10007, 24)):
             assert admitted(RHO, lambda: sum_of_squares_census(k, n)), (n, k)
             assert not admitted(RHO, lambda: sum_of_squares_census(k + 1, n)), (n, k)
         _, cheap, _ = price(RHO, lambda: sum_of_squares_census(491_518, 2))
