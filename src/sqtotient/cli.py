@@ -211,18 +211,18 @@ def report_command(kind, k, xs, tol, prime_count, experimental, nmax, bound, fmt
         return
 
     k = k or 2
+    # psi = lhs / phi_k in lowest terms has about k bits or less
     if kind == "menon":
         bits = _mean_bits(k, nmax)
-        cells = (k.bit_length(), nmax.bit_length(), bits, bits, bits / 2, 1)
+        cells = (k.bit_length(), nmax.bit_length(), bits, bits, k, 1)
         cost = _write_cost(nmax, cells, fmt, menon._scan_cost(k, nmax))
         _check_budget(f"report menon at k = {k}, n <= {nmax}", *cost)
         rows = menon.psi_table(k, nmax)
         _emit_dataclasses(rows, menon.MenonRow, fmt, meta, out)
         return
 
-    bits = _mean_bits(k, bound)
     pairs = menon._pairs(bound)
-    cells = (bound.bit_length(), bound.bit_length(), bits / 2, bits / 2, 1)
+    cells = (bound.bit_length(), bound.bit_length(), k, k, 1)
     cost = _write_cost(pairs, cells, fmt, menon._scan_cost(k, bound, pairs))
     _check_budget(f"report menon-mult at k = {k}, mn <= {bound}", *cost)
     rows = menon.psi_multiplicativity_scan(k, bound)

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd, log, log2
+from math import gcd, log
 
 from .core_arith import Factorization, _check_budget, as_factorization, divisor_count, euler_phi, factorize
 from .phi import phi_k
@@ -161,12 +161,12 @@ def _pairs(bound: int) -> float:
 def _scan_cost(k: int, bound: int, pairs: float = 0) -> tuple[float, float]:
     """Predicted CPU seconds and bytes of psi_k at every n <= bound, plus ``pairs`` rows.
 
-    A modulus takes 2e-5 + 8e-11 B^log2(3) s for B the mean bits of its gcd-sum
-    (fitted for k = 2 to 65536) and a pair 1.2e-5 s; a row holds ~3 B / 8 bytes.
+    A modulus takes 1.5e-5 + 3.5e-10 B^1.4 s for B the mean bits of its gcd-sum
+    (fitted for k = 2 to 65536) and a pair 4e-6 s; a row holds ~3 B / 8 bytes.
     """
     bits = _mean_bits(k, bound)
-    seconds = bound * (2e-5 + 8e-11 * bits ** log2(3)) + 1.2e-5 * pairs
-    return seconds, (bound + pairs) * (bits / 3 + 500)
+    seconds = bound * (1.5e-5 + 3.5e-10 * bits**1.4) + 4e-6 * pairs
+    return seconds, (bound + pairs) * (bits / 3 + 250)
 
 
 def psi_table(k: int, n_max: int) -> list[MenonRow]:

@@ -322,7 +322,7 @@ class TestReportCommand:
         assert all(set(row) == {"m", "n", "psi_m_psi_n", "psi_mn", "equal"} for row in document["rows"])
 
     @pytest.mark.parametrize(
-        "kind, option, largest", [("menon", "--nmax", 159_208), ("menon-mult", "--bound", 49_105)]
+        "kind, option, largest", [("menon", "--nmax", 198_508), ("menon-mult", "--bound", 83_724)]
     )
     def test_menon_bound_cap_exit_code(self, runner, admitted, kind, option, largest):
         # plain text at k = 2: the scan and the writing of its rows priced together
@@ -337,15 +337,15 @@ class TestReportCommand:
             assert "Traceback" not in result.output
 
     def test_menon_cap_bounds_k(self, runner, admitted):
-        # a modulus costs more at larger k: k = 1000 stops at 5,246 moduli,
-        # k = 65536 at 45
-        for k, largest in ((1000, 5246), (65536, 45)):
+        # a modulus costs more at larger k: k = 1000 stops at 5,922 moduli,
+        # k = 65536 at 56
+        for k, largest in ((1000, 5922), (65536, 56)):
             args = ["report", "menon", "-k", str(k), "--nmax"]
             assert admitted(cli, lambda: main([*args, str(largest)], standalone_mode=False))
             assert not admitted(cli, lambda: main([*args, str(largest + 1)], standalone_mode=False))
-        result = run(runner, "report", "menon", "-k", "1000", "--nmax", "5247")
+        result = run(runner, "report", "menon", "-k", "1000", "--nmax", "5923")
         assert result.exit_code == 3
-        assert "CPU milliseconds of report menon at k = 1000, n <= 5247 (predicted 4 s of CPU" in result.output
+        assert "CPU milliseconds of report menon at k = 1000, n <= 5923 (predicted 4 s of CPU" in result.output
 
 
 # Every integer option of every subcommand, with arguments that are valid
@@ -449,8 +449,8 @@ class TestOutputContract:
         "module, args",
         [
             (cli, ["phi", "-k", "8", "--range", "1463749"]),
-            (cli, ["report", "menon", "-k", "2", "--nmax", "159209"]),
-            (cli, ["report", "menon-mult", "-k", "3", "--bound", "49095"]),
+            (cli, ["report", "menon", "-k", "2", "--nmax", "198509"]),
+            (cli, ["report", "menon-mult", "-k", "3", "--bound", "83673"]),
             (cli, ["report", "minimal-order", "-k", "3", "--primes", "3788"]),
             (averaging, ["report", "average", "-k", "8", "--xs", "7295720"]),
         ],
