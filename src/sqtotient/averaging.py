@@ -134,12 +134,12 @@ def _table_cost(limit: int, k: int, listed: bool) -> tuple[float, float]:
     """Predicted CPU seconds and peak bytes of a table of about n^k, n <= limit, with its sieve.
 
     An entry of B = k log2(limit) bits takes 9e-8 + 2.5e-10 B + 1.2e-13 B^2 s
-    (fitted for B = 176 to 15,000) and 44 + B / 7.5 bytes; an int64 one less.
+    (fitted for B = 176 to 15,000) and 48 + B / 7.5 bytes; an int64 one less.
     """
     bits = k * limit.bit_length()
     if bits < 64:
         return limit * (9e-8 if listed else 5.5e-8), limit * (48 if listed else 16)
-    return limit * (9e-8 + 2.5e-10 * bits + 1.2e-13 * bits**2), limit * (44 + bits / 7.5)
+    return limit * (9e-8 + 2.5e-10 * bits + 1.2e-13 * bits**2), limit * (48 + bits / 7.5)
 
 
 def _multiplicative_table(limit: int, k: int, at_primes, ratio, listed: bool = False) -> np.ndarray:

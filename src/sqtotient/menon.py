@@ -162,10 +162,10 @@ def _scan_cost(k: int, bound: int, pairs: float = 0) -> tuple[float, float]:
     """Predicted CPU seconds and bytes of psi_k at every n <= bound, plus ``pairs`` rows.
 
     A modulus takes 1.5e-5 + 3.5e-10 B^1.4 s for B the mean bits of its gcd-sum
-    (fitted for k = 2 to 65536) and a pair 4e-6 s; a row holds ~3 B / 8 bytes.
+    (fitted for k = 2 to 65536) and a pair 5e-6 s; a row holds ~3 B / 8 bytes.
     """
     bits = _mean_bits(k, bound)
-    seconds = bound * (1.5e-5 + 3.5e-10 * bits**1.4) + 4e-6 * pairs
+    seconds = bound * (1.5e-5 + 3.5e-10 * bits**1.4) + 5e-6 * pairs
     return seconds, (bound + pairs) * (bits / 3 + 250)
 
 

@@ -109,11 +109,11 @@ def _power_census(k: int, n: int) -> tuple[int, ...]:
     item = array(code).itemsize
     m = max(1, -(-bits // (8 * item)))  # items per residue, over 1 only for "Q"
     size = m * item  # bytes per residue
-    # One product per squaring and per further set bit of k, each 5.5e-9 s x
-    # D^log2(3) for D the 30-bit digits of a packed int (Karatsuba); below 512
-    # residues zero-padded slots split off, so D is scaled by bits(n - 1) / 9
-    # (fitted for n = 3 to 10007). At n = 2 every count is a power of two and
-    # a product 5e-9 s x D log2(D). A residue adds 4.4e-7 s and 9 size + 36 B.
+    # A product per squaring and per further set bit of k: 5.5e-9 s x D^log2(3)
+    # for D the 30-bit digits of a packed int (Karatsuba), D scaled by
+    # bits(n - 1) / 9 below 512 residues, whose zero-padded slots split off
+    # (fitted for n = 3 to 10007); 5e-9 s x D log2(D) at n = 2, where each count
+    # is a power of two. A residue: 4.4e-7 s, 36 bytes and 9 slots (3 if no product).
     products = k.bit_length() + bin(k).count("1") - 2
     digits = 8 * size * n / 30
     if n == 2:
@@ -121,7 +121,7 @@ def _power_census(k: int, n: int) -> tuple[int, ...]:
     else:
         product = 5.5e-9 * (digits * min(1.0, (n - 1).bit_length() / 9)) ** log2(3)
     seconds = products * product + 4.4e-7 * n
-    _check_budget(f"the census at modulus {n}, k = {k}", seconds, (9 * size + 36) * n)
+    _check_budget(f"the census at modulus {n}, k = {k}", seconds, ((9 if products else 3) * size + 36) * n)
     squares = [0] * n
     for x in range(n):
         squares[x * x % n] += 1

@@ -86,7 +86,7 @@ class TestPhiCommand:
         finally:
             tracemalloc.stop()
         assert result.exit_code == 3
-        assert "CPU milliseconds of phi --range 717433 at k = 8 (predicted 4 s of CPU and 47.1 MB)" in result.output
+        assert "CPU milliseconds of phi --range 717433 at k = 8 (predicted 4 s of CPU and 49.9 MB)" in result.output
         assert "over the limit of 4000" in result.output
         assert "Traceback" not in result.output
         assert peak < 10**7
@@ -322,7 +322,7 @@ class TestReportCommand:
         assert all(set(row) == {"m", "n", "psi_m_psi_n", "psi_mn", "equal"} for row in document["rows"])
 
     @pytest.mark.parametrize(
-        "kind, option, largest", [("menon", "--nmax", 198_508), ("menon-mult", "--bound", 83_724)]
+        "kind, option, largest", [("menon", "--nmax", 198_508), ("menon-mult", "--bound", 77_670)]
     )
     def test_menon_bound_cap_exit_code(self, runner, admitted, kind, option, largest):
         # plain text at k = 2: the scan and the writing of its rows priced together
@@ -448,11 +448,11 @@ class TestOutputContract:
     @pytest.mark.parametrize(
         "module, args",
         [
-            (cli, ["phi", "-k", "8", "--range", "1463749"]),
+            (cli, ["phi", "-k", "8", "--range", "1453233"]),
             (cli, ["report", "menon", "-k", "2", "--nmax", "198509"]),
-            (cli, ["report", "menon-mult", "-k", "3", "--bound", "83673"]),
+            (cli, ["report", "menon-mult", "-k", "3", "--bound", "77627"]),
             (cli, ["report", "minimal-order", "-k", "3", "--primes", "3788"]),
-            (averaging, ["report", "average", "-k", "8", "--xs", "7295720"]),
+            (averaging, ["report", "average", "-k", "8", "--xs", "6893383"]),
         ],
         ids=["phi --range", "report menon", "report menon-mult", "report minimal-order", "report average"],
     )

@@ -129,18 +129,18 @@ class TestPsiTable:
             assert row.phi_k == phi_k(row.k, row.n)
 
     def test_bound_cap_refuses_before_any_work(self, admitted):
-        # about 1.5e-5 s a modulus at k = 2, and 4e-6 s more a coprime pair
+        # about 1.5e-5 s a modulus at k = 2, and 5e-6 s more a coprime pair
         assert admitted(MENON, lambda: psi_table(2, 265_832))
         assert not admitted(MENON, lambda: psi_table(2, 265_833))
-        assert admitted(MENON, lambda: psi_multiplicativity_scan(2, 127_001))
-        assert not admitted(MENON, lambda: psi_multiplicativity_scan(2, 127_002))
+        assert admitted(MENON, lambda: psi_multiplicativity_scan(2, 112_983))
+        assert not admitted(MENON, lambda: psi_multiplicativity_scan(2, 112_984))
         for scan in (psi_table, psi_multiplicativity_scan):
             with pytest.raises(BudgetExceededError, match=rf"{scan.__name__}\(2, {2**63 - 1}\) \(predicted"):
                 scan(2, 2**63 - 1)
 
     def test_work_cap_weighs_k(self, admitted):
         # a modulus costs 3.5e-10 s x B^1.4 more for B about k log2(n) bits
-        for k, table, scan in ((64, 192_386, 109_211), (1000, 18_939, 17_921), (65536, 169, 169)):
+        for k, table, scan in ((64, 192_386, 98_905), (1000, 18_939, 17_684), (65536, 169, 169)):
             assert admitted(MENON, lambda: psi_table(k, table)), k
             assert not admitted(MENON, lambda: psi_table(k, table + 1)), k
             assert admitted(MENON, lambda: psi_multiplicativity_scan(k, scan)), k

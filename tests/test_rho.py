@@ -83,11 +83,11 @@ class TestCensusKernel:
         assert sum_of_squares_census(2**63 - 1, 1) == (1,)
 
     def test_census_modulus_cap(self, admitted):
-        # k = 1: about 72 bytes a residue, so the byte limit binds at
-        # 6,944,444 residues; 10^8 is refused before the census builds its
-        # 10^8-slot integers
-        assert admitted(RHO, lambda: sum_of_squares_census(1, 6_944_444))
-        assert not admitted(RHO, lambda: sum_of_squares_census(1, 6_944_445))
+        # k = 1: 4.4e-7 s a residue, so the CPU limit binds at 9,090,909
+        # residues; 10^8 is refused before the census builds its 10^8-slot
+        # integers
+        assert admitted(RHO, lambda: sum_of_squares_census(1, 9_090_909))
+        assert not admitted(RHO, lambda: sum_of_squares_census(1, 9_090_910))
         tracemalloc.start()
         try:
             with pytest.raises(BudgetExceededError) as info:
@@ -95,7 +95,7 @@ class TestCensusKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert "the census at modulus 100000000, k = 1 (predicted 44 s of CPU and 7.2e+03 MB)" in str(info.value)
+        assert "the census at modulus 100000000, k = 1 (predicted 44 s of CPU and 4.8e+03 MB)" in str(info.value)
         assert peak < 10**7
 
     def test_work_cap_refuses_before_allocating(self, admitted):
