@@ -133,8 +133,8 @@ _BLOCK = 1 << 13
 def _table_cost(limit: int, k: int, listed: bool) -> tuple[float, float]:
     """Predicted CPU seconds and peak bytes of a table of about n^k, n <= limit, with its sieve.
 
-    An entry of B = k log2(limit) bits takes 9e-8 + 2.5e-10 B + 1.2e-13 B^2 s
-    (fitted for B = 176 to 15,000) and 48 + B / 7.5 bytes; an int64 one less.
+    An int64 entry takes 5.5e-8 s and 16 bytes (9e-8 s, 48 bytes ``listed``); one of B = k log2(limit)
+    bits 9e-8 + 2.5e-10 B + 1.2e-13 B^2 s and 48 + B / 7.5 bytes (fitted for B = 176 to 15,000).
     """
     bits = k * limit.bit_length()
     if bits < 64:

@@ -106,7 +106,7 @@ def _write_cost(rows: float, cells, fmt: str, work=(0.0, 0.0)) -> tuple[float, f
     ``cells`` holds the bit length of each cell of a row (53 for a float).
     A cell takes 6.3e-7 s (CSV) to 1.8e-6 s (JSON), fitted on small ints, and
     ``_int_str`` 2e-12 s x b^2 below 32,000 bits and 6e-10 s x b^1.4 above.
-    CSV and JSON hold a few copies of one batch of text; plain text holds
+    CSV and JSON hold three copies of a batch of text; plain text holds
     every cell string, 49 bytes plus its digits, until the last row.
     """
     per_cell = {"plain": 8.5e-7, "csv": 6.3e-7, "json": 1.8e-6}[fmt]

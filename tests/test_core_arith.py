@@ -2,7 +2,6 @@
 
 import math
 import random
-import time
 import tracemalloc
 from math import gcd
 

@@ -1,7 +1,6 @@
 """Residue-class counting: formulas, census kernel, closed forms, oracle."""
 
 import sys
-import time
 import tracemalloc
 from math import gcd
 
@@ -67,7 +66,6 @@ class TestCensusKernel:
             lambda k: menon_lhs_brute(k, 3),
         )
         for oracle in oracles:
-            started = time.process_time()
             tracemalloc.start()
             try:
                 with pytest.raises(BudgetExceededError) as info:
@@ -78,7 +76,6 @@ class TestCensusKernel:
             assert f"the census at modulus 3, k = {2**63 - 1} (predicted" in str(info.value)
             assert type(info.value.required) is int
             assert peak < 10**7
-            assert time.process_time() - started < 0.5
         # at n = 1 every entry is 0 bits wide: the census stays one slot
         assert sum_of_squares_census(2**63 - 1, 1) == (1,)
 
