@@ -586,9 +586,9 @@ def _primorial_bits(count: int) -> float:
 
 
 def _primorial_scan_cost(count: int) -> tuple[float, float]:
-    # 3.2e-5 s a row and 3e-10 s a bit built; the rows hold all the primorials
+    # 2.5e-5 s a row and 2.2e-10 s a bit built; the rows hold all the primorials
     bits = count * _primorial_bits(count) / 2
-    return 3.2e-5 * count + 3e-10 * bits, bits / 8 + 100 * count
+    return 2.5e-5 * count + 2.2e-10 * bits, bits / 8 + 100 * count
 
 
 def minimal_order_scan(

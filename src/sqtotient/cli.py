@@ -17,9 +17,9 @@ from math import gcd
 import click
 
 from . import averaging, menon, verify
-from .core_arith import BudgetExceededError, _check_budget
+from .core_arith import BudgetExceededError, _check_budget, _mean_bits
 from .phi import phi_k
-from .reporting import FORMATS, _int_str, _mean_bits, _write_cost, write_rows
+from .reporting import FORMATS, _int_str, _write_cost, write_rows
 from .rho import _check_output_bits, rho
 
 INT64_MAX = 2**63 - 1

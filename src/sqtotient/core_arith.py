@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from math import ceil, gcd, isqrt
+from math import ceil, gcd, isqrt, log2
 
 __all__ = [
     "BudgetExceededError",
@@ -63,6 +63,11 @@ def _check_budget(what: str, seconds: float, nbytes: float) -> None:
     if seconds > _CPU_LIMIT:
         raise BudgetExceededError(ceil(seconds * 1000), round(_CPU_LIMIT * 1000), f"CPU milliseconds of {predicted}")
     raise BudgetExceededError(ceil(nbytes / 1e6), _BYTE_LIMIT // 10**6, f"megabytes of {predicted}")
+
+
+def _mean_bits(k: int, x: int) -> float:
+    """About the mean bit length of n^k over n <= x: k (log2(x) - 1 / ln 2)."""
+    return k * max(1.0, log2(x) - 1.44)
 
 
 @dataclass(frozen=True)

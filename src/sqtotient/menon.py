@@ -32,9 +32,8 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, log
 
-from .core_arith import Factorization, _check_budget, as_factorization, divisor_count, euler_phi, factorize
+from .core_arith import Factorization, _check_budget, _mean_bits, as_factorization, divisor_count, euler_phi, factorize
 from .phi import phi_k
-from .reporting import _mean_bits
 from .rho import _check_output_bits, _local_count, _prime_count, rho_base_vector, sum_of_squares_census
 
 __all__ = [
@@ -162,7 +161,7 @@ def _scan_cost(k: int, bound: int, pairs: float = 0) -> tuple[float, float]:
     """Predicted CPU seconds and bytes of psi_k at every n <= bound, plus ``pairs`` rows.
 
     A modulus takes 1.5e-5 + 3.5e-10 B^1.4 s for B the mean bits of its gcd-sum
-    (fitted for k = 2 to 65536) and a pair 5e-6 s; a row holds ~3 B / 8 bytes.
+    (fitted for k = 2 to 65536) and a pair 5e-6 s; a row holds about B / 3 + 250 bytes.
     """
     bits = _mean_bits(k, bound)
     seconds = bound * (1.5e-5 + 3.5e-10 * bits**1.4) + 5e-6 * pairs

@@ -32,7 +32,6 @@ import csv
 import decimal
 import io
 import json
-import math
 from datetime import datetime, timezone
 from fractions import Fraction
 from itertools import islice
@@ -114,11 +113,6 @@ def _write_cost(rows: float, cells, fmt: str, work=(0.0, 0.0)) -> tuple[float, f
     text = sum(0.302 * b + 3 for b in cells)
     held = rows * (text + 49 * len(cells) + 64) if fmt == "plain" else 0
     return work[0] + seconds, work[1] + held + 3 * min(rows, _BATCH_ROWS) * text
-
-
-def _mean_bits(k: int, x: int) -> float:
-    """About the mean bit length of n^k over n <= x: k (log2(x) - 1 / ln 2)."""
-    return k * max(1.0, math.log2(x) - 1.44)
 
 
 def _cell(value) -> str:

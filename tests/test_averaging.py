@@ -465,7 +465,7 @@ class TestMinimalOrder:
         # the rows hold every primorial: 22,097 of them fill the 500 MB budget
         assert admitted(averaging, lambda: minimal_order_scan(1, 22_097))
         assert not admitted(averaging, lambda: minimal_order_scan(1, 22_098))
-        with pytest.raises(BudgetExceededError, match=r"of minimal_order_scan\(1, 100000\) \(predicted 31.2 s of CPU"):
+        with pytest.raises(BudgetExceededError, match=r"of minimal_order_scan\(1, 100000\) \(predicted 23.1 s of CPU"):
             minimal_order_scan(1, 100000)
 
     def test_prime_bound_holds_every_allowed_count(self):

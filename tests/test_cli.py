@@ -322,7 +322,9 @@ class TestReportCommand:
         assert all(set(row) == {"m", "n", "psi_m_psi_n", "psi_mn", "equal"} for row in document["rows"])
 
     @pytest.mark.parametrize(
-        "kind, option, largest", [("menon", "--nmax", 198_508), ("menon-mult", "--bound", 77_670)]
+        "kind, option, largest",
+        [("menon", "--nmax", 198_508), ("menon-mult", "--bound", 77_670)],
+        ids=["menon---nmax", "menon-mult---bound"],
     )
     def test_menon_bound_cap_exit_code(self, runner, admitted, kind, option, largest):
         # plain text at k = 2: the scan and the writing of its rows priced together
@@ -394,11 +396,11 @@ class TestIntegerContract:
             assert "Traceback" not in result.output
 
     def test_primorial_scan_length_is_a_budget(self, runner, admitted):
-        # writing the primorials in full takes most of the time: 3,787 of
+        # writing the primorials in full takes most of the time: 3,800 of
         # them in plain text
         args = ["report", "minimal-order", "-k", "1", "--primes"]
-        assert admitted(cli, lambda: main([*args, "3787"], standalone_mode=False))
-        assert not admitted(cli, lambda: main([*args, "3788"], standalone_mode=False))
+        assert admitted(cli, lambda: main([*args, "3800"], standalone_mode=False))
+        assert not admitted(cli, lambda: main([*args, "3801"], standalone_mode=False))
         result = run(runner, *args, "10001")
         assert result.exit_code == 3
         assert "CPU milliseconds of report minimal-order of 10001 primes (predicted" in result.output
@@ -451,7 +453,7 @@ class TestOutputContract:
             (cli, ["phi", "-k", "8", "--range", "1453233"]),
             (cli, ["report", "menon", "-k", "2", "--nmax", "198509"]),
             (cli, ["report", "menon-mult", "-k", "3", "--bound", "77627"]),
-            (cli, ["report", "minimal-order", "-k", "3", "--primes", "3788"]),
+            (cli, ["report", "minimal-order", "-k", "3", "--primes", "3801"]),
             (averaging, ["report", "average", "-k", "8", "--xs", "6893383"]),
         ],
         ids=["phi --range", "report menon", "report menon-mult", "report minimal-order", "report average"],
