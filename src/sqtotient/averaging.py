@@ -558,7 +558,7 @@ def averaging_report(k: int, xs: list[int], tol: float = 1e-9) -> list[Averaging
         raise ValueError("range ends must be >= 3 so log log x is positive")
     if list(xs) != sorted(xs):
         raise ValueError("range ends must be ascending")
-    if (k + 1) * math.log2(xs[-1]) - math.log2(k + 1) >= 1024:
+    if k >= 1 and (k + 1) * math.log2(xs[-1]) - math.log2(k + 1) >= 1024:
         raise ValueError(f"the main term at x = {xs[-1]}, k = {k} is past the float range: x^(k+1) / (k+1) >= 2^1024")
     values = _phi_k_values(k, xs[-1])
     constant = euler_constant(k, tol)

@@ -174,8 +174,8 @@ def psi_table(k: int, n_max: int) -> list[MenonRow]:
     psi is kept as an exact rational in lowest terms so a non-integral
     value, should one appear, is reported losslessly.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if k < 1 or n_max < 1:
+        raise ValueError(f"psi_table needs k >= 1 and n_max >= 1, got k = {k}, n_max = {n_max}")
     _check_budget(f"psi_table({k}, {n_max})", *_scan_cost(k, n_max))
     rows = []
     for n in range(1, n_max + 1):
