@@ -512,12 +512,20 @@ def convolution_check(k: int, limit: int) -> ConvolutionReport:
     off n = d e for all e <= limit/d, and each e <= limit/(s+1) does so for
     all d in (s, limit/e], in strided numpy steps. The identity holds where
     the residual is 0. Partial results are at most n^(k+1) in size, so the
-    arrays are int64 while limit^(k+1) < 2^63. The phi_k value reported at
-    a mismatch comes from a table rebuilt up to it.
+    arrays are int64 while limit^(k+1) < 2^63 and Python ints above, where
+    the three arrays and the steps over them are priced up front. The phi_k
+    value reported at a mismatch comes from a table rebuilt up to it.
     """
     import numpy as np
 
     dtype = np.int64 if limit ** (k + 1) < 2**63 else object
+    if dtype is object:
+        # entries of B = (k + 1) log2(limit) bits take 48 + B / 7.5 bytes each, and
+        # the steps (1.2e-7 + 1e-10 B) s per entry and unit of ln(limit) (fitted
+        # for k = 2 to 40, limit = 2^14 to 2.5 10^6)
+        bits = (k + 1) * math.log2(limit)
+        seconds = limit * math.log(limit) * (1.2e-7 + 1e-10 * bits)
+        _check_budget(f"convolution_check({k}, {limit})", seconds, 3 * limit * (48 + bits / 7.5))
     g = _g_k_values(k, limit).astype(dtype, copy=False)
     residual = _phi_k_values(k, limit).astype(dtype, copy=False)
     powers = np.arange(limit + 1, dtype=dtype) ** k

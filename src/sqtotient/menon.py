@@ -73,22 +73,38 @@ def menon_classic(n: int) -> tuple[int, int]:
     """Both sides of the classical unit gcd-sum identity.
 
     Returns (sum over units j of gcd(j - 1, n), phi(n) d(n)); the two are
-    equal for every n. The sum reads a table g[j] = gcd(j, n), 0 <= j <= n,
-    made by writing each divisor d of n, ascending, at the multiples of d.
-    The divisors come by trial, not factorize, to keep the sides independent.
+    equal for every n. The sum is the one-row gcd table of
+    ``_gcd_sum_block(n, n)``, whose divisors come by trial, not factorize,
+    to keep the sides independent.
     """
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
-    # five int64 or bool arrays of n + 1 entries at the most
-    _check_budget(f"menon_classic({n})", 3e-8 * n, 25 * n)
-    import numpy as np
-
-    g = np.ones(n + 1, dtype=np.int64)
-    for d in np.flatnonzero(n % np.arange(1, n + 1) == 0) + 1:
-        g[::d] = d
-    lhs = int(g[:n][g[1:] == 1].sum())  # units j have g[j] == 1; gcd(j - 1, n) = g[j - 1]
+    # at the most three int32 arrays of n entries and a bool one live at once
+    _check_budget(f"menon_classic({n})", 1.5e-8 * n, 15 * n)
+    (lhs,) = _gcd_sum_block(n, n)
     f = as_factorization(n)
     return lhs, euler_phi(f) * divisor_count(f)
+
+
+def _gcd_sum_block(lo: int, hi: int) -> list[int]:
+    """Sum over units j of gcd(j - 1, n) for each n in [lo, hi], from one gcd table.
+
+    Entry (n, j) of the table, 0 <= j <= hi, is gcd(j, n): it starts at 1,
+    and each d with a multiple in [lo, hi] (hi mod d <= hi - lo, which for
+    one row is d | n) is written, ascending, where d divides both n and j.
+    The units of row n are its columns 1 <= j <= n holding 1. Entries are
+    int16 while hi < 2^15 and int32 above (callers keep hi under 2^31).
+    """
+    import numpy as np
+
+    dtype = np.int16 if hi < 1 << 15 else np.int32
+    columns = np.arange(1, hi + 1, dtype=dtype)
+    g = np.ones((hi - lo + 1, hi + 1), dtype=dtype)
+    for d in (np.flatnonzero(hi % columns <= hi - lo) + 1).tolist():
+        g[-lo % d :: d, ::d] = d
+    units = g[:, 1:] == 1
+    units &= columns <= np.arange(lo, hi + 1, dtype=dtype)[:, None]
+    return (g[:, :-1] * units).sum(axis=1, dtype=np.int64).tolist()
 
 
 def menon_lhs(k: int, n: int) -> int:

@@ -347,6 +347,15 @@ class TestConvolution:
             report = convolution_check(4, limit)
             assert (report.ok, report.first_mismatch, report.limit) == (True, None, limit)
 
+    def test_python_int_residual_is_priced(self, admitted):
+        # past int64 the residual and its two operands are Python ints: (2, 2.5 10^6)
+        # took 3.2-4.5 s and 336-364 MB; k = 4 at the verify suite's cap 2^20 took 1.4-1.7 s
+        assert not admitted(averaging, lambda: convolution_check(2, 2_500_000))
+        assert admitted(averaging, lambda: convolution_check(4, 1 << 20))
+        assert admitted(averaging, lambda: convolution_check(2, 1 << 20))
+        with pytest.raises(BudgetExceededError, match=r"CPU milliseconds of convolution_check\(2, 2500000\) \(predicted"):
+            convolution_check(2, 2_500_000)
+
     @pytest.mark.parametrize(
         "k, limit, n",
         # 30 is reached from d <= isqrt(limit), 437 = 19 * 23 and 6205 = 5 * 17 * 73 from d above it

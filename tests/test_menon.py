@@ -17,8 +17,9 @@ from sqtotient import (
     psi_table,
     rho,
 )
+from sqtotient import verify
 from sqtotient.core_arith import divisor_count, euler_phi
-from sqtotient.menon import menon_lhs_brute
+from sqtotient.menon import _gcd_sum_block, menon_lhs_brute
 
 MENON = sys.modules["sqtotient.menon"]
 
@@ -40,13 +41,25 @@ class TestClassicIdentity:
             literal = sum(gcd(j - 1, n) for j in range(1, n + 1) if gcd(j, n) == 1)
             assert menon_classic(n)[0] == literal, n
 
+    def test_block_sums_equal_literal_definition(self):
+        # every n <= 600 in the suite's blocks, then two blocks side by side at its cap
+        blocks = list(verify._gcd_blocks(600))
+        assert len(blocks) > 2 and all(hi > lo for lo, hi in blocks)
+        caps = list(verify._gcd_blocks(1 << 14))[-2:]
+        for lo, hi in blocks + caps:
+            sums = _gcd_sum_block(lo, hi)
+            rows = range(lo, hi + 1) if hi <= 600 else (lo, hi)
+            for n in rows:
+                literal = sum(gcd(j - 1, n) for j in range(1, n + 1) if gcd(j, n) == 1)
+                assert sums[n - lo] == literal, (lo, hi, n)
+
     def test_modulus_cap_refuses_before_allocating(self, admitted):
-        # 25 bytes a residue: 20 million residues fill the 500 MB budget
-        assert admitted(MENON, lambda: menon_classic(20_000_000))
-        assert not admitted(MENON, lambda: menon_classic(20_000_001))
+        # 15 bytes a residue: 33,333,333 residues fill the 500 MB budget
+        assert admitted(MENON, lambda: menon_classic(33_333_333))
+        assert not admitted(MENON, lambda: menon_classic(33_333_334))
         tracemalloc.start()
         try:
-            for n in (20_000_001, 10**12):
+            for n in (33_333_334, 10**12):
                 with pytest.raises(BudgetExceededError, match=rf"of menon_classic\({n}\) \(predicted"):
                     menon_classic(n)
             peak = tracemalloc.get_traced_memory()[1]

@@ -47,12 +47,17 @@ def _kernel_off_by_one_at_8(real):
     return fake
 
 
-def _menon_lhs_off_by_one_at_7(real):
-    def fake(n):
-        lhs, rhs = real(n)
-        return (lhs + 1 if n == 7 else lhs), rhs
+def _block_sum_off_by_one_at(n):
+    def patch(real):
+        def fake(lo, hi):
+            sums = real(lo, hi)
+            if lo <= n <= hi:
+                sums[n - lo] += 1
+            return sums
 
-    return fake
+        return fake
+
+    return patch
 
 
 # (suite, limit, callee patched in sqtotient.verify, patch, first counterexample per failing check)
@@ -92,7 +97,7 @@ FAULTS = [
         {"convolution identity k=4": "n=7: expected 1, convolution 2"},
     ),
     (
-        "menon-classic", 50, "menon_classic", _menon_lhs_off_by_one_at_7,
+        "menon-classic", 50, "_gcd_sum_block", _block_sum_off_by_one_at(7),
         {"unit gcd-sum identity": "n=7: 13 != 12"},
     ),
 ]
@@ -107,6 +112,14 @@ def test_first_counterexample_is_reported(monkeypatch, suite, limit, callee, pat
     assert not result.ok
     reported = {c.name: c.detail for c in result.checks if not c.ok}
     assert reported == {name: f"first counterexample: {case}" for name, case in failures.items()}
+
+
+def test_fault_at_the_first_row_of_a_later_block_is_reported(monkeypatch):
+    # 256 opens the second block of gcd tables: rows 1..255 fill the first
+    assert list(verify._gcd_blocks(600))[:2] == [(1, 255), (256, 413)]
+    monkeypatch.setattr(verify, "_gcd_sum_block", _block_sum_off_by_one_at(256)(verify._gcd_sum_block))
+    (check,) = run_suite("menon-classic", 600).checks
+    assert check.detail == "first counterexample: n=256: 1153 != 1152"
 
 
 def test_counts_match_the_checked_cases():
