@@ -10,9 +10,10 @@ peak bytes to ``_check_budget``, which refuses it before any work.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress
-from math import ceil, gcd, isqrt, log2
+from math import ceil, gcd, isqrt, log2, prod
 
 __all__ = [
     "BudgetExceededError",
@@ -30,10 +31,24 @@ __all__ = [
 # Trial division stops at this bound: a cofactor below its square is then
 # prime, and anything larger goes to Miller-Rabin + rho splitting.
 _TRIAL_BOUND = 1000
+_TRIAL_SQUARE = _TRIAL_BOUND * _TRIAL_BOUND
 
-# Witness set is deterministic for all n < 3.317e24, which comfortably covers
-# the 64-bit inputs this package promises to certify.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes. As Miller-Rabin bases they are deterministic below
+# A014233(13) = 3,317,044,064,679,887,385,961,981 (Sorenson and Webster,
+# Math. Comp. 86, 2017). The first 12 are deterministic only below
+# A014233(12) = 318,665,857,834,031,151,167,461, a strong pseudoprime to them.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_SMALL_PRIMORIAL = prod(_SMALL_PRIMES)
+
+# Miller-Rabin bases by size of n: those of the first tier whose bound
+# exceeds n are deterministic for it. Above the last bound its bases make
+# a probable-prime test.
+_MR_TIERS = (
+    (3_215_031_751, (2, 3, 5, 7)),  # A014233(4)
+    # Sinclair's bases; every n in this tier exceeds every base
+    (1 << 64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
+    (3_317_044_064_679_887_385_961_981, _SMALL_PRIMES),  # A014233(13)
+)
 
 # The budget of every computation whose cost grows with its arguments: CPU
 # seconds predicted for a 2-vCPU VM (Python 3.11.7), and peak bytes. Each
@@ -128,24 +143,30 @@ def build_spf(limit: int) -> np.ndarray:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test (certified for n < 2^64)."""
+    """Miller-Rabin primality test with bases chosen by the size of n.
+
+    Deterministic below A014233(13) = 3,317,044,064,679,887,385,961,981,
+    which covers every 64-bit input: the first 4 primes as bases below
+    3,215,031,751, Sinclair's 7 bases below 2^64, and the first 13 primes
+    above. Past that bound the 13 primes give a probable-prime answer.
+    """
     if n < 2:
         return False
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
+    if gcd(n, _SMALL_PRIMORIAL) != 1:
+        return n in _SMALL_PRIMES
+    for bound, bases in _MR_TIERS:
+        if n < bound:
+            break
+    m = n - 1
+    r = (m & -m).bit_length() - 1
+    d = m >> r
+    for a in bases:
         x = pow(a, d, n)
-        if x in (1, n - 1):
+        if x == 1 or x == m:
             continue
         for _ in range(r - 1):
             x = x * x % n
-            if x == n - 1:
+            if x == m:
                 break
         else:
             return False
@@ -209,8 +230,11 @@ def factorize(n: int) -> Factorization:
     """Factor n >= 1 into its canonical prime-power decomposition.
 
     Trial division by 2, then by the odd primes below 1000 until d^2
-    exceeds the cofactor: at most 167 odd trial divisors. Then Miller-Rabin
-    on the cofactor and Brent rho splitting if it is composite. Output is
+    exceeds the cofactor: at most 167 odd trial divisors. A cofactor above
+    10^6 first takes one gcd with the product of those primes, and trial
+    division stops at the first prime above it, so a cofactor with no
+    factor below 1000 costs no division. Then Miller-Rabin on a cofactor
+    above 10^6 and Brent rho splitting if it is composite. Output is
     deterministic for a given n.
     """
     if n < 1:
@@ -222,14 +246,19 @@ def factorize(n: int) -> Factorization:
     while m % 2 == 0:
         m //= 2
         counts[2] = counts.get(2, 0) + 1
-    for d in _TRIAL_PRIMES:
+    trial = _TRIAL_PRIMES
+    if m > _TRIAL_SQUARE:
+        # the trial primes dividing m are those dividing this gcd, so none
+        # is above it
+        trial = trial[: bisect_right(trial, gcd(m, _TRIAL_PRODUCT))]
+    for d in trial:
         if d * d > m:
             break
         while m % d == 0:
             m //= d
             counts[d] = counts.get(d, 0) + 1
     if m > 1:
-        if m <= _TRIAL_BOUND * _TRIAL_BOUND or is_prime(m):
+        if m <= _TRIAL_SQUARE or is_prime(m):
             # no divisor up to the trial bound, so below its square m is prime
             counts[m] = counts.get(m, 0) + 1
         else:
@@ -290,3 +319,4 @@ def primes_upto(limit: int) -> list[int]:
 
 # The 167 odd primes below the trial bound, the only trial divisors after 2.
 _TRIAL_PRIMES = tuple(primes_upto(_TRIAL_BOUND)[1:])
+_TRIAL_PRODUCT = prod(_TRIAL_PRIMES)

@@ -1,6 +1,7 @@
 """Factorization, sieve, and classical totient checks."""
 
 import math
+import operator
 import random
 import tracemalloc
 from math import gcd
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import factorint, nextprime
+from sympy import factorint, isprime, nextprime, prevprime
+from sympy.ntheory.primetest import mr
 
 import sqtotient.core_arith as core_arith
 from sqtotient import BudgetExceededError, build_spf, factorize
@@ -85,6 +87,10 @@ class TestSpfTable:
         assert peak < 10**7
 
 
+PRIME_ABOVE_1E6 = st.integers(min_value=10**6, max_value=2**40).map(nextprime)
+PRIME_ABOVE_TRIAL = st.integers(min_value=1000, max_value=2**20).map(nextprime)
+
+
 class TestFactorize:
     def test_examples(self):
         assert factorize(1).factors == ()
@@ -130,6 +136,8 @@ class TestFactorize:
         for _ in range(2):
             shapes.append(nextprime(rng.randrange(2**30, 2**31)) * nextprime(rng.randrange(2**30, 2**31)))
         shapes += [561, 41041, 9746347772161]  # Carmichael numbers
+        # a trial prime squared, and cofactors above 10^6 holding trial primes
+        shapes += [997**2, 3 * 997 * 1000003, 997 * 1009]
         for n in shapes:
             assert dict(factorize(n).factors) == factorint(n), n
 
@@ -147,6 +155,18 @@ class TestFactorize:
         with pytest.raises(ValueError):
             Factorization(4, ((4, 1),))  # not prime
 
+    @given(
+        st.sampled_from(core_arith._TRIAL_PRIMES),
+        st.integers(min_value=1, max_value=3),
+        PRIME_ABOVE_1E6 | st.builds(operator.mul, PRIME_ABOVE_TRIAL, PRIME_ABOVE_TRIAL),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_trial_prime_power_times_large_cofactor(self, p, e, q):
+        # n is odd and above 10^6, so trial division runs only up to the gcd
+        # of n and the product of the trial primes
+        n = p**e * q
+        assert dict(factorize(n).factors) == factorint(n), n
+
     @given(st.integers(min_value=1, max_value=10**6))
     @settings(max_examples=200, deadline=None)
     def test_reconstruction_property(self, n):
@@ -154,6 +174,29 @@ class TestFactorize:
         assert math.prod(p**e for p, e in f.factors) == n
         assert all(e >= 1 for _, e in f.factors)
         assert list(f.primes) == sorted(set(f.primes))
+
+
+# A014233(k), k = 1..12: the least odd n that is a strong pseudoprime to
+# each of the first k primes as bases (k = 7, 8 and k = 9, 10, 11 share one)
+A014233 = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    3825123056546413051,
+    318665857834031151167461,
+)
+FIRST_13_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the tier bounds of is_prime: A014233(4), 2^64 and A014233(13)
+TIER_BOUNDS = (3215031751, 2**64, 3317044064679887385961981)
+
+
+def thirteen_prime_test(n):
+    """sympy's Miller-Rabin with the first 13 primes, exact below A014233(13)."""
+    return n in FIRST_13_PRIMES or (n > 41 and mr(n, FIRST_13_PRIMES))
 
 
 class TestPrimality:
@@ -165,6 +208,45 @@ class TestPrimality:
         assert is_prime(104729)
         assert is_prime(2**61 - 1)
         assert not is_prime(2**61 + 1)
+
+    def test_strong_pseudoprimes_to_the_first_primes_are_composite(self):
+        for k, n in enumerate(A014233, start=1):
+            assert mr(n, FIRST_13_PRIMES[:k]) and not isprime(n), n
+            assert not is_prime(n), n
+
+    def test_carmichael_numbers_are_composite(self):
+        # Chernick's (6k+1)(12k+1)(18k+1), a Carmichael number whenever all
+        # three factors are prime, from 1729 up past 2^64
+        found = []
+        for start in (1, 100, 10**4, 10**6, 10**7):
+            k = start
+            while not all(isprime(f) for f in (6 * k + 1, 12 * k + 1, 18 * k + 1)):
+                k += 1
+            found.append((6 * k + 1) * (12 * k + 1) * (18 * k + 1))
+        assert found[0] == 1729 and found[-1] > 2**64
+        for n in [561, 1105, 2465, 2821, 6601, 8911, 41041, 9746347772161, *found]:
+            assert not is_prime(n), n
+
+    def test_agrees_with_the_thirteen_prime_test_on_random_odd_n(self):
+        rng = random.Random(1403)
+        for bits in range(20, 65):
+            for _ in range(40):
+                n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+                assert is_prime(n) == thirteen_prime_test(n), n
+            p = nextprime(rng.getrandbits(bits) | 1 << (bits - 1))
+            assert is_prime(p) and thirteen_prime_test(p), p
+
+    def test_agrees_at_each_tier_bound(self):
+        # semiprimes of primes near the square root of each bound, on both
+        # sides of it, and the primes next to it
+        for bound in TIER_BOUNDS:
+            r = math.isqrt(bound)
+            below, above = prevprime(r), nextprime(r)
+            shapes = [below * prevprime(below), below * above, above * nextprime(above)]
+            shapes += [prevprime(bound), nextprime(bound)]
+            assert min(shapes) < bound < max(shapes)
+            for n in shapes:
+                assert is_prime(n) == thirteen_prime_test(n) == isprime(n), n
 
 
 class TestGcd:
