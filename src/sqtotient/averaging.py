@@ -204,17 +204,18 @@ def phi_k_table(k: int, x: int) -> list[int]:
 def _exact_sum(values: np.ndarray, start: int, stop: int) -> int:
     """sum(values[start:stop]) as an int.
 
-    int64 entries are split into their high and low 32 bits, and each half
-    is summed by numpy one _BLOCK at a time: a block's half sums stay below
-    2^45, so none overflows. Object tables are summed as Python ints.
+    Summed by numpy one _BLOCK at a time. int64 entries are split into
+    their high and low 32 bits: a block's half sums stay below 2^45, so
+    none overflows. An object block sums its Python ints, with no list.
     """
-    if values.dtype == object:
-        return sum(values[start:stop].tolist())
     high = low = 0
     for i in range(start, stop, _BLOCK):
         block = values[i : min(i + _BLOCK, stop)]
-        high += int((block >> 32).sum())
-        low += int((block & 0xFFFFFFFF).sum())
+        if block.dtype == object:
+            low += block.sum()
+        else:
+            high += int((block >> 32).sum())
+            low += int((block & 0xFFFFFFFF).sum())
     return (high << 32) + low
 
 

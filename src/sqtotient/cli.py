@@ -211,10 +211,13 @@ def report_command(kind, k, xs, tol, prime_count, experimental, nmax, bound, fmt
         return
 
     k = k or 2
-    # psi = lhs / phi_k in lowest terms has about k bits or less
+    # psi = lhs / phi_k in lowest terms has about k bits or less; for 4 | k it
+    # is d(n) (every unit count mod 4 and mod 8 is then 4^(k-1) or 8^(k-1)),
+    # so psi_k(m) psi_k(n) = d(mn) has no more bits than the largest modulus
+    psi = (nmax if kind == "menon" else bound).bit_length() if k % 4 == 0 else k
     if kind == "menon":
         bits = _mean_bits(k, nmax)
-        cells = (k.bit_length(), nmax.bit_length(), bits, bits, k, 1)
+        cells = (k.bit_length(), nmax.bit_length(), bits, bits, psi, 1)
         cost = _write_cost(nmax, cells, fmt, menon._scan_cost(k, nmax))
         _check_budget(f"report menon at k = {k}, n <= {nmax}", *cost)
         rows = menon.psi_table(k, nmax)
@@ -222,7 +225,7 @@ def report_command(kind, k, xs, tol, prime_count, experimental, nmax, bound, fmt
         return
 
     pairs = menon._pairs(bound)
-    cells = (bound.bit_length(), bound.bit_length(), k, k, 1)
+    cells = (bound.bit_length(), bound.bit_length(), psi, psi, 1)
     cost = _write_cost(pairs, cells, fmt, menon._scan_cost(k, bound, pairs))
     _check_budget(f"report menon-mult at k = {k}, mn <= {bound}", *cost)
     rows = menon.psi_multiplicativity_scan(k, bound)

@@ -24,10 +24,12 @@ x^2 mod 8 depends on x mod 4 only. For lam a unit mod n no descent step is
 taken, and the count is the paper's closed form.
 
 The classical trigonometric closed forms for moduli 2, 4, 8 are also
-implemented, in exact Z[sqrt(2)] arithmetic (every sine and cosine that
-appears is 0, +/-1 or +/-sqrt(2)/2, and the irrational parts cancel); they
-serve as a cross-check against the residue vector, never as the primary
-path.
+implemented, exactly, on integer pairs (a, b) standing for a + b sqrt(2):
+twice every sine and cosine that appears is 0, +/-2 or +/-sqrt(2), so the
+tables hold the doubled values, a half-integer power of two swaps and
+doubles the parts, and each form divides its sum once by a power of two
+after checking that the sqrt(2) parts cancel. They serve as a cross-check
+against the residue vector, never as the primary path.
 
 The census kernel raises the census of squares mod n to the k-th power
 under cyclic convolution, by repeated squaring. Each convolution is one
@@ -43,8 +45,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import log2
 
@@ -280,57 +280,34 @@ def rho(k: int, lam: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 # Exact trigonometric closed forms at moduli 2, 4, 8.
 #
-# Values are handled as a + b*sqrt(2) with Fraction coefficients. sin and
-# cos of quarter-turn multiples come from 8-entry tables, and half-integer
-# powers of two split into an integer power times sqrt(2).
+# A value a + b*sqrt(2), a and b integers, is the pair (a, b). The tables hold
+# 2 sin and 2 cos of the quarter-turn multiples, so their entries are integer
+# pairs; each form is a sum of such pairs times half-integer powers of two,
+# divided once by a power of two at the end.
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class _Sqrt2Value:
-    a: Fraction
-    b: Fraction
-
-    def __add__(self, other: "_Sqrt2Value") -> "_Sqrt2Value":
-        return _Sqrt2Value(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: "_Sqrt2Value") -> "_Sqrt2Value":
-        return _Sqrt2Value(self.a - other.a, self.b - other.b)
-
-    def __mul__(self, other: "_Sqrt2Value") -> "_Sqrt2Value":
-        return _Sqrt2Value(
-            self.a * other.a + 2 * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
-
-    def scaled(self, q: Fraction) -> "_Sqrt2Value":
-        return _Sqrt2Value(self.a * q, self.b * q)
-
-    def as_count(self) -> int:
-        if self.b != 0:
-            raise ArithmeticError(f"irrational part failed to cancel: {self}")
-        if self.a.denominator != 1 or self.a < 0:
-            raise ArithmeticError(f"closed form is not a count: {self}")
-        return int(self.a)
+# 2 sin(pi*m/4) and 2 cos(pi*m/4) indexed by m mod 8
+_SIN2 = ((0, 0), (0, 1), (2, 0), (0, 1), (0, 0), (0, -1), (-2, 0), (0, -1))
+_COS2 = ((2, 0), (0, 1), (0, 0), (0, -1), (-2, 0), (0, -1), (0, 0), (0, 1))
 
 
-def _rat(v) -> _Sqrt2Value:
-    return _Sqrt2Value(Fraction(v), Fraction(0))
+def _root2_power(j: int, value: tuple[int, int], sign: int = 1) -> tuple[int, int]:
+    """sign 2^(j/2) (a + b sqrt(2)) for j >= 0 and value = (a, b), exactly."""
+    a, b = value
+    if j % 2:  # sqrt(2) (a + b sqrt(2)) = 2b + a sqrt(2)
+        a, b = 2 * b, a
+    return sign * a << j // 2, sign * b << j // 2
 
 
-_HALF_ROOT2 = _Sqrt2Value(Fraction(0), Fraction(1, 2))
-_NEG_HALF_ROOT2 = _Sqrt2Value(Fraction(0), Fraction(-1, 2))
-_ZERO = _rat(0)
-# sin(pi*m/4) and cos(pi*m/4) indexed by m mod 8
-_SIN = (_ZERO, _HALF_ROOT2, _rat(1), _HALF_ROOT2, _ZERO, _NEG_HALF_ROOT2, _rat(-1), _NEG_HALF_ROOT2)
-_COS = (_rat(1), _HALF_ROOT2, _ZERO, _NEG_HALF_ROOT2, _rat(-1), _NEG_HALF_ROOT2, _ZERO, _HALF_ROOT2)
-
-
-def _pow2_half(j: int) -> _Sqrt2Value:
-    """2^(j/2) for j >= 0, exactly."""
-    if j % 2 == 0:
-        return _rat(2 ** (j // 2))
-    return _Sqrt2Value(Fraction(0), Fraction(2 ** ((j - 1) // 2)))
+def _count(terms, shift: int) -> int:
+    """The sum of the pairs ``terms`` over 2^shift, which must be a count."""
+    a = sum(term[0] for term in terms)
+    if sum(term[1] for term in terms):
+        raise ArithmeticError("irrational part failed to cancel")
+    count, rest = divmod(a, 1 << shift)
+    if rest or count < 0:
+        raise ArithmeticError("closed form is not a count")
+    return count
 
 
 def closed_form_rho2(k: int) -> int:
@@ -346,33 +323,35 @@ def closed_form_rho4(k: int, lam: int) -> int:
         raise ValueError(f"tuple length must be >= 1, got {k}")
     if lam % 4 not in (1, 3):
         raise ValueError("lam must be 1 or 3 at modulus 4")
-    wave = _pow2_half(3 * k - 2) * _SIN[k % 8]
-    value = _rat(4 ** (k - 1))
-    value = value + wave if lam % 4 == 1 else value - wave
-    return value.as_count()
+    # twice the form: 2^(2k-1) +/- 2^((3k-2)/2) (2 sin(pi k / 4))
+    wave = _root2_power(3 * k - 2, _SIN2[k % 8], 1 if lam % 4 == 1 else -1)
+    return _count(((1 << 2 * k - 1, 0), wave), 1)
 
 
 def trig_closed_form_rho8(k: int, lam: int) -> int:
     """Closed form at modulus 8, one case per odd residue class.
 
-    Each case is 2^(2k-3) times an integer combination of 2^k, a
-    half-integer power of two, and quarter-turn sines and cosines; the
-    evaluation is exact and the sqrt(2) parts must cancel.
+    Each case is 2^(2k-3) times an integer combination of 2^k,
+    2^((k+2)/2) sin(pi k / 4), and doubled quarter-turn sines and cosines;
+    the evaluation is exact and the sqrt(2) parts must cancel.
     """
     if k < 1:
         raise ValueError(f"tuple length must be >= 1, got {k}")
     lam %= 8
     if lam not in (1, 3, 5, 7):
         raise ValueError("lam must be odd at modulus 8")
-    two_k = _rat(2**k)
-    wave = _pow2_half(k + 2) * _SIN[k % 8]
-    two = _rat(2)
+
+    def term(sign: int, table, m: int, j: int = 0) -> tuple[int, int]:
+        # sign 2^(j/2) table[m] times 4^k: the sum of the terms is then 8 times the count
+        return _root2_power(4 * k + j, table[m % 8], sign)
+
+    # 2^k is 2^(3k) over 4^k, and 2^((k+2)/2) sin(pi k / 4) is 2^(k/2) (2 sin(pi k / 4))
     if lam == 1:
-        inner = two_k + wave + two * _SIN[(k + 1) % 8] - two * _COS[(3 * k + 1) % 8]
+        terms = (term(1, _SIN2, k, k), term(1, _SIN2, k + 1), term(-1, _COS2, 3 * k + 1))
     elif lam == 3:
-        inner = two_k - wave - two * (_COS[(k + 1) % 8] + _COS[(3 * (k + 1)) % 8])
+        terms = (term(-1, _SIN2, k, k), term(-1, _COS2, k + 1), term(-1, _COS2, 3 * (k + 1)))
     elif lam == 5:
-        inner = two_k + wave - two * _SIN[(k + 1) % 8] + two * _COS[(3 * k + 1) % 8]
+        terms = (term(1, _SIN2, k, k), term(-1, _SIN2, k + 1), term(1, _COS2, 3 * k + 1))
     else:
-        inner = two_k - wave - two * _SIN[(3 * k + 1) % 8] + two * _COS[(k + 1) % 8]
-    return inner.scaled(Fraction(2) ** (2 * k - 3)).as_count()
+        terms = (term(-1, _SIN2, k, k), term(-1, _SIN2, 3 * k + 1), term(1, _COS2, k + 1))
+    return _count(((1 << 3 * k, 0), *terms), 3)

@@ -431,6 +431,11 @@ class TestAveragingReport:
         extremes = [2**63 - 1, -(2**63), -1, 2**32, 2**32 - 1] * 2000
         values = np.array(extremes, dtype=np.int64)
         assert averaging._exact_sum(values, 3, len(extremes)) == sum(extremes[3:])
+        # an object table past int64, across a block edge
+        huge = [2**100 + n for n in extremes]
+        objects = np.array(huge, dtype=object)
+        total = averaging._exact_sum(objects, 3, len(huge) - 1)
+        assert total == sum(huge[3:-1]) and type(total) is int
 
 
 class TestMinimalOrder:

@@ -339,15 +339,15 @@ class TestReportCommand:
             assert "Traceback" not in result.output
 
     def test_menon_cap_bounds_k(self, runner, admitted):
-        # a modulus costs more at larger k: k = 1000 stops at 5,922 moduli,
-        # k = 65536 at 56
-        for k, largest in ((1000, 5922), (65536, 56)):
+        # a modulus costs more at larger k: k = 1000 stops at 5,937 moduli,
+        # k = 65536 at 58
+        for k, largest in ((1000, 5937), (65536, 58)):
             args = ["report", "menon", "-k", str(k), "--nmax"]
             assert admitted(cli, lambda: main([*args, str(largest)], standalone_mode=False))
             assert not admitted(cli, lambda: main([*args, str(largest + 1)], standalone_mode=False))
-        result = run(runner, "report", "menon", "-k", "1000", "--nmax", "5923")
+        result = run(runner, "report", "menon", "-k", "1000", "--nmax", "5938")
         assert result.exit_code == 3
-        assert "CPU milliseconds of report menon at k = 1000, n <= 5923 (predicted 4 s of CPU" in result.output
+        assert "CPU milliseconds of report menon at k = 1000, n <= 5938 (predicted 4 s of CPU" in result.output
 
 
 # Every integer option of every subcommand, with arguments that are valid

@@ -451,6 +451,21 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             trig_closed_form_rho8(2, 4)
 
+    @pytest.mark.parametrize(
+        "m, entry, k, message",
+        [(1, (1, 1), 1, "irrational part failed to cancel"), (2, (-5, 0), 2, "closed form is not a count")],
+    )
+    def test_exactness_guard(self, monkeypatch, m, entry, k, message):
+        # a wrong doubled sine leaves a sqrt(2) part, or a negative sum
+        module = sys.modules["sqtotient.rho"]
+        table = list(module._SIN2)
+        table[m] = entry
+        monkeypatch.setattr(module, "_SIN2", tuple(table))
+        with pytest.raises(ArithmeticError, match=message):
+            closed_form_rho4(k, 1)
+        with pytest.raises(ArithmeticError, match=message):
+            trig_closed_form_rho8(k, 1)
+
     @pytest.mark.parametrize("k", [*range(1, 33), 1000, 3000])
     def test_equal_recurrence_all_moduli(self, k):
         rho_base_vector.cache_clear()
