@@ -12,6 +12,7 @@ import contextlib
 import functools
 import sys
 from dataclasses import fields
+from itertools import islice, repeat
 from math import gcd
 
 import click
@@ -126,7 +127,7 @@ def phi_command(k, n, range_end, fmt, out, no_meta):
     cells = (k.bit_length(), range_end.bit_length(), _mean_bits(k, range_end))
     _check_budget(f"phi --range {range_end} at k = {k}", *_write_cost(range_end, cells, fmt, table))
     values = averaging.phi_k_table(k, range_end)
-    rows = ((k, n_, values[n_]) for n_ in range(1, range_end + 1))
+    rows = zip(repeat(k), range(1, range_end + 1), islice(values, 1, None))
     _emit(rows, ["k", "n", "phi"], fmt, meta, out)
 
 
@@ -211,10 +212,7 @@ def report_command(kind, k, xs, tol, prime_count, experimental, nmax, bound, fmt
         return
 
     k = k or 2
-    # psi = lhs / phi_k in lowest terms has about k bits or less; for 4 | k it
-    # is d(n) (every unit count mod 4 and mod 8 is then 4^(k-1) or 8^(k-1)),
-    # so psi_k(m) psi_k(n) = d(mn) has no more bits than the largest modulus
-    psi = (nmax if kind == "menon" else bound).bit_length() if k % 4 == 0 else k
+    psi = menon._psi_bits(k, nmax if kind == "menon" else bound)
     if kind == "menon":
         bits = _mean_bits(k, nmax)
         cells = (k.bit_length(), nmax.bit_length(), bits, bits, psi, 1)

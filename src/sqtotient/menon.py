@@ -173,15 +173,33 @@ def _pairs(bound: int) -> float:
     return 0.35 * bound * log(bound) + 1
 
 
+def _psi_bits(k: int, bound: int) -> float:
+    """About the bits of psi_k(n) for n <= bound, numerator and denominator together.
+
+    For 4 | k, psi_k(n) = d(n) (every unit count mod 4 and mod 8 is then
+    4^(k-1) or 8^(k-1)), so psi_k(m) psi_k(n) = d(mn) has no more bits than
+    bound. For other even k the block at 2 has about k bits and the odd
+    blocks are e + 1. For odd k the block at p^e has denominator
+    p^((k-1)/2), so psi_k(n) has about as many bits as a gcd-sum.
+    """
+    if k % 4 == 0:
+        return bound.bit_length()
+    if k % 2 == 0:
+        return k
+    return _mean_bits(k, bound)
+
+
 def _scan_cost(k: int, bound: int, pairs: float = 0) -> tuple[float, float]:
     """Predicted CPU seconds and bytes of psi_k at every n <= bound, plus ``pairs`` rows.
 
     A modulus takes 1.5e-5 + 3.5e-10 B^1.4 s for B the mean bits of its gcd-sum
-    (fitted for k = 2 to 65536) and a pair 5e-6 s; a row holds about B / 3 + 250 bytes.
+    (fitted for k = 2 to 65536) and holds about B / 3 + 250 bytes; a pair
+    takes 5e-6 s and holds two psi values of P = ``_psi_bits`` bits, P / 8 +
+    100 bytes each.
     """
     bits = _mean_bits(k, bound)
     seconds = bound * (1.5e-5 + 3.5e-10 * bits**1.4) + 5e-6 * pairs
-    return seconds, (bound + pairs) * (bits / 3 + 250)
+    return seconds, bound * (bits / 3 + 250) + pairs * 2 * (_psi_bits(k, bound) / 8 + 100)
 
 
 def psi_table(k: int, n_max: int) -> list[MenonRow]:

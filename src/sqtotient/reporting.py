@@ -7,12 +7,17 @@ keep their shortest round-trip form, booleans map to true/false. Output
 is byte-deterministic except for the optional generation-time header.
 
 ``write_rows`` streams: it takes rows as sequences in column order and
-writes them to the stream in batches of 1,024 rows. CSV and JSON write
-each batch as it arrives, formatted by ``csv.writer`` or by
-``json.dumps``, in the bytes that ``json.dumps(document, indent=2)``
-gives for the whole document. Plain text aligns its columns, so it holds
-the cell strings, but not the text, until every row has arrived.
-``render`` is ``write_rows`` into a string.
+writes them to the stream in batches of 1,024 rows. Each batch is
+formatted one column at a time (``_cells``): a column of ints below
+``_STR_BOUND`` in size goes to decimal in one ``map(str, ...)``, any other
+column cell by cell through ``_cell`` (or ``_json_value`` for JSON). CSV
+writes a batch of such int columns by joining the strings, as no decimal
+string needs quoting, and any other batch through ``csv.writer``; JSON
+writes each batch through ``json.dumps``, in the bytes that
+``json.dumps(document, indent=2)`` gives for the whole document. Plain
+text aligns its columns, so it holds one list of cell strings per column,
+but not the text, until every row has arrived. ``render`` is
+``write_rows`` into a string.
 
 Every integer goes to decimal through ``_int_str``. Below 2^13 bits
 (2,467 digits, under the interpreter's default limit of 4,300 digits for
@@ -34,7 +39,7 @@ import io
 import json
 from datetime import datetime, timezone
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 
 __all__ = ["render", "write_rows"]
 
@@ -46,12 +51,16 @@ _STR_BITS = 1 << 13
 _STR_BOUND = 1 << _STR_BITS
 _LEAF_BITS = 1 << 11
 
-# rows per write to the stream, each batch formatted into one string. For
-# phi -k 5 --range 65568 on a 2-vCPU VM (Python 3.11.7), one json.dumps
-# per row took the writer from 0.38 to 0.96 s of CPU, and one write per
-# CSV row into a block-buffered pipe from 0.12 to 0.21 s. click's stdout
-# is line-buffered when stdout's error handler is not "strict" (under the
-# C or POSIX locale), and there a write per row is a system call per row.
+# rows per write to the stream, each batch formatted one column at a time
+# into one string. For phi -k 5 --range 65568 on a 2-vCPU VM (Python
+# 3.11.7), one json.dumps per row took the writer from 0.38 to 0.96 s of
+# CPU, and one write per CSV row into a block-buffered pipe from 0.12 to
+# 0.21 s. click's stdout is line-buffered when stdout's error handler is
+# not "strict" (under the C or POSIX locale), and there a write per row is
+# a system call per row. By columns, with the all-int CSV batch joined
+# without csv.writer, the CSV writer took 49-61 ms there against 110-197 ms
+# cell by cell, and plain text 70-82 ms against 130-233 ms; a batch's
+# temporaries are its column tuples, one string per row and the text.
 # A batch holds its text: with 4,096 rows, phi -k 1000 --range 32767 (15,000-
 # bit values) peaked at 143-164 MB of RSS in CSV and JSON, 100-108 MB here
 _BATCH_ROWS = 1 << 10
@@ -156,6 +165,24 @@ def _batches(rows):
         yield batch
 
 
+def _cells(batch, convert) -> tuple[list, bool]:
+    """A batch's cell strings, one iterator per column, and whether every column is of ints.
+
+    A column of ints (not bools) under ``_STR_BOUND`` in size goes through
+    ``str``, which is ``_cell`` of each of them; any other column goes
+    through ``convert``. The strings are made as the caller reads them.
+    """
+    cells = []
+    integral = True
+    for column in zip(*batch):
+        if {*map(type, column)} == {int} and -_STR_BOUND < min(column) and max(column) < _STR_BOUND:
+            cells.append(map(str, column))
+        else:
+            cells.append(map(convert, column))
+            integral = False
+    return cells, integral
+
+
 def _write_json(stream, rows, columns, meta):
     # the bytes of json.dumps({"generated": ..., "rows": [...]}, indent=2)
     stream.write("{\n")
@@ -164,7 +191,8 @@ def _write_json(stream, rows, columns, meta):
     stream.write('  "rows": [')
     separator = "\n    "
     for batch in _batches(rows):
-        text = json.dumps([dict(zip(columns, map(_json_value, row))) for row in batch], indent=2)
+        cells, _ = _cells(batch, _json_value)
+        text = json.dumps([dict(zip(columns, row)) for row in zip(*cells)], indent=2)
         # drop the list's "[\n  " and "\n]" and indent it one level deeper;
         # json escapes newlines inside strings, so only structural ones move
         stream.write(separator + text[4:-2].replace("\n", "\n  "))
@@ -182,20 +210,30 @@ def _csv_text(rows) -> str:
 def _write_csv(stream, rows, columns):
     stream.write(_csv_text([columns]))
     for batch in _batches(rows):
-        stream.write(_csv_text(map(_cell, row) for row in batch))
+        cells, integral = _cells(batch, _cell)
+        if integral:  # a decimal string never needs quoting
+            stream.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        else:
+            stream.write(_csv_text(zip(*cells)))
 
 
 def _write_plain(stream, rows, columns):
-    table = [columns] + [tuple(map(_cell, row)) for row in rows]
-    widths = [max(len(line[i]) for line in table) for i in range(len(columns))]
-    for batch in _batches(table):
-        stream.write("".join("  ".join(map(str.ljust, line, widths)).rstrip() + "\n" for line in batch))
+    table = [[name] for name in columns]
+    for batch in _batches(rows):
+        for column, cells in zip(table, _cells(batch, _cell)[0]):
+            column += cells
+    widths = [max(map(len, column)) for column in table]
+    for start in range(0, len(table[0]), _BATCH_ROWS):
+        padded = (map(str.ljust, column[start : start + _BATCH_ROWS], repeat(width)) for column, width in zip(table, widths))
+        stream.write("\n".join(map(str.rstrip, map("  ".join, zip(*padded)))) + "\n")
 
 
 def write_rows(stream, rows, columns: list[str], fmt: str, meta: bool) -> None:
     """Write rows (sequences in the order of ``columns``) to a text stream."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
+    if not columns:
+        raise ValueError("rows need at least one column")
     if fmt == "json":
         _write_json(stream, rows, columns, meta)
         return

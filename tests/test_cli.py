@@ -21,6 +21,7 @@ import sqtotient.cli as cli
 from sqtotient.cli import INT64_MAX, main
 from sqtotient.phi import phi_k
 from sqtotient.rho import trig_closed_form_rho8
+from test_reporting import reference_render
 
 
 @pytest.fixture
@@ -49,6 +50,17 @@ class TestPhiCommand:
         assert len(rows) == 6
         # odd k: n^2 phi(n)
         assert [int(r[2]) for r in rows[1:]] == [1, 4, 18, 32, 100]
+
+    def test_range_equals_the_reference_renderers(self, runner):
+        # a CSV batch of ints is joined without csv.writer; its bytes are csv.writer's
+        values = averaging.phi_k_table(5, 3000)
+        records = [{"k": 5, "n": n, "phi": values[n]} for n in range(1, 3001)]
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows([["k", "n", "phi"]] + [list(r.values()) for r in records])
+        result = run(runner, "phi", "-k", "5", "--range", "3000", "--format", "csv", "--no-meta")
+        assert result.output == buffer.getvalue()
+        result = run(runner, "phi", "-k", "5", "--range", "3000", "--no-meta")
+        assert result.output == reference_render(records, ["k", "n", "phi"], "plain", meta=False)
 
     def test_requires_exactly_one_target(self, runner):
         assert run(runner, "phi", "-k", "2").exit_code == 2
@@ -349,6 +361,14 @@ class TestReportCommand:
         assert result.exit_code == 3
         assert "CPU milliseconds of report menon at k = 1000, n <= 5938 (predicted 4 s of CPU" in result.output
 
+    def test_menon_mult_prices_psi_at_odd_k(self, admitted):
+        # each pair row holds two psi values, as long as a gcd-sum at odd k:
+        # k = 1001 stops at 3,003 (priced at k bits, 15,934 was admitted and
+        # 8,000 took 8.4 s of CPU)
+        args = ["report", "menon-mult", "-k", "1001", "--bound"]
+        assert admitted(cli, lambda: main([*args, "3003"], standalone_mode=False))
+        assert not admitted(cli, lambda: main([*args, "3004"], standalone_mode=False))
+
 
 # Every integer option of every subcommand, with arguments that are valid
 # without it; the option is appended, so its value overrides any default.
@@ -452,7 +472,7 @@ class TestOutputContract:
         [
             (cli, ["phi", "-k", "8", "--range", "1453233"]),
             (cli, ["report", "menon", "-k", "2", "--nmax", "198509"]),
-            (cli, ["report", "menon-mult", "-k", "3", "--bound", "77627"]),
+            (cli, ["report", "menon-mult", "-k", "3", "--bound", "77583"]),
             (cli, ["report", "minimal-order", "-k", "3", "--primes", "3801"]),
             (averaging, ["report", "average", "-k", "8", "--xs", "6893383"]),
         ],

@@ -19,7 +19,7 @@ from sqtotient import (
 )
 from sqtotient import verify
 from sqtotient.core_arith import divisor_count, euler_phi
-from sqtotient.menon import _gcd_sum_block, menon_lhs_brute
+from sqtotient.menon import _gcd_sum_block, _psi_bits, menon_lhs_brute
 
 MENON = sys.modules["sqtotient.menon"]
 
@@ -160,6 +160,13 @@ class TestPsiTable:
             assert not admitted(MENON, lambda: psi_multiplicativity_scan(k, scan + 1)), k
         with pytest.raises(BudgetExceededError, match=r"CPU milliseconds of psi_table\(65536, 170\)"):
             psi_table(65536, 170)
+
+    @pytest.mark.parametrize("k", [3, 5, 999, 1001])
+    def test_psi_priced_at_its_size_for_odd_k(self, k):
+        # at odd k the block at p^e has denominator p^((k-1)/2), so psi_k(n)
+        # has about as many bits as the gcd-sum, not k
+        sizes = [row.psi.numerator.bit_length() + row.psi.denominator.bit_length() for row in psi_table(k, 300)]
+        assert 0.5 < _psi_bits(k, 300) / (sum(sizes) / len(sizes)) < 2
 
     def test_first_order_cofactor_is_not_asserted_closed_form(self):
         # k = 1 cofactors are computed, not asserted against any formula;

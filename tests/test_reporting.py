@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import sqtotient
 from sqtotient.cli import main
-from sqtotient.reporting import _BATCH_ROWS, _LEAF_BITS, _STR_BITS, _int_str, render, write_rows
+from sqtotient.reporting import _BATCH_ROWS, _LEAF_BITS, _STR_BITS, _STR_BOUND, _int_str, render, write_rows
 
 VALUES = [mp.mpf(1) / 3, mp.mpf(2) ** -40, -mp.pi, mp.mpf(0)]
 
@@ -193,6 +193,34 @@ class TestStreamingWriter:
         rows = [[n, Fraction(n, 3), f"r{n}"] for n in range(2 * _BATCH_ROWS + 1)]
         self.check(fmt, ["n", "third", "label"], rows)
 
+    # A batch's column of ints (not bools) under _STR_BOUND in size takes
+    # str() in one map, and a CSV batch of such columns skips csv.writer;
+    # the property's five rows seldom make such a batch, so these do.
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_ints_at_the_str_bound(self, fmt):
+        inside = [_STR_BOUND - 1, -(_STR_BOUND - 1), 0]
+        at = [_STR_BOUND, -_STR_BOUND, 0]
+        self.check(fmt, ["inside", "at"], list(zip(inside, at)))
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_a_bool_among_ints(self, fmt):
+        rows = [[n, n * n] for n in range(10)]
+        rows[4][1] = True
+        rows[7][1] = False
+        self.check(fmt, ["n", "square"], rows)
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_a_column_of_ints_then_of_mixed_values(self, fmt):
+        # all ints in the first batch, ints, a Fraction and a string in the second
+        values = list(range(_BATCH_ROWS)) + [Fraction(1, 3), "x", 2**70, -5]
+        self.check(fmt, ["n", "value"], [[n, value] for n, value in enumerate(values)])
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_a_batch_of_ints_then_one_of_quoted_strings(self, fmt):
+        rows = [[n, -n] for n in range(_BATCH_ROWS)]
+        rows += [["a,b", '"q"'], ["line\nbreak", 'x,"y"\nz'], [7, ","]]
+        self.check(fmt, ["a", "b"], rows)
+
     @staticmethod
     def check(fmt, columns, rows):
         records = [dict(zip(columns, row)) for row in rows]
@@ -223,6 +251,13 @@ class TestStreamingWriter:
 
         write_rows(buffer, rows(), ["n", "square"], fmt, meta=False)
         assert 0 < written_early[0] < buffer.tell()
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_no_columns_writes_nothing(self, fmt):
+        buffer = io.StringIO()
+        with pytest.raises(ValueError, match="at least one column"):
+            write_rows(buffer, [()], [], fmt, meta=False)
+        assert buffer.getvalue() == ""
 
     def test_unknown_format_writes_nothing(self):
         buffer = io.StringIO()
