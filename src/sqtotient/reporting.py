@@ -58,8 +58,8 @@ _LEAF_BITS = 1 << 11
 # 0.21 s. click's stdout is line-buffered when stdout's error handler is
 # not "strict" (under the C or POSIX locale), and there a write per row is
 # a system call per row. By columns, with the all-int CSV batch joined
-# without csv.writer, the CSV writer took 49-61 ms there against 110-197 ms
-# cell by cell, and plain text 70-82 ms against 130-233 ms; a batch's
+# without csv.writer, the CSV writer took 45-61 ms there against 99-197 ms
+# cell by cell, and plain text 62-86 ms against 116-233 ms; a batch's
 # temporaries are its column tuples, one string per row and the text.
 # A batch holds its text: with 4,096 rows, phi -k 1000 --range 32767 (15,000-
 # bit values) peaked at 143-164 MB of RSS in CSV and JSON, 100-108 MB here

@@ -364,7 +364,7 @@ class TestReportCommand:
     def test_menon_mult_prices_psi_at_odd_k(self, admitted):
         # each pair row holds two psi values, as long as a gcd-sum at odd k:
         # k = 1001 stops at 3,003 (priced at k bits, 15,934 was admitted and
-        # 8,000 took 8.4 s of CPU)
+        # 8,000 took 7.8-8.4 s of CPU)
         args = ["report", "menon-mult", "-k", "1001", "--bound"]
         assert admitted(cli, lambda: main([*args, "3003"], standalone_mode=False))
         assert not admitted(cli, lambda: main([*args, "3004"], standalone_mode=False))
