@@ -21,7 +21,7 @@ from .averaging import (
     phi_k_table,
 )
 from .core_arith import BudgetExceededError, build_spf, factorize
-from .menon import menon_classic, menon_lhs, psi_multiplicativity_scan, psi_table
+from .menon import menon_classic, menon_lhs, psi_table
 from .phi import phi_k
 from .rho import rho, rho_base_vector, sum_of_squares_census
 from .verify import run_suite
@@ -40,7 +40,6 @@ __all__ = [
     "minimal_order_scan",
     "phi_k",
     "phi_k_table",
-    "psi_multiplicativity_scan",
     "psi_table",
     "rho",
     "rho_base_vector",

@@ -600,24 +600,17 @@ def _primorial_scan_cost(count: int) -> tuple[float, float]:
     return 2.5e-5 * count + 2.2e-10 * bits, bits / 8 + 100 * count
 
 
-def minimal_order_scan(
-    k: int, prime_count: int, experimental: bool = False
-) -> list[tuple[int, float]]:
+def minimal_order_scan(k: int, prime_count: int) -> list[tuple[int, float]]:
     """Ratios phi_k(n) log log n / n^k along primorials n = 2*3*5*...
 
-    For odd k the ratio climbs toward exp(-gamma). Starts at the third
-    primorial, 30, below which log log n is not usefully positive. Even k
-    is accepted only with ``experimental=True``: the scan then just emits
-    data, since no limit is asserted for it.
+    For odd k the ratio climbs toward exp(-gamma); for even k it is emitted
+    as data, with no limit stated. Starts at the third primorial, 30, below
+    which log log n is not usefully positive.
     """
     import mpmath as mp
 
     if k < 1:
         raise ValueError(f"tuple length must be >= 1, got {k}")
-    if k % 2 == 0 and not experimental:
-        raise ValueError(
-            "the limit is asserted for odd k only; even k needs the experimental mode (data only)"
-        )
     if prime_count < 3:
         raise ValueError("need at least the first three primes")
     _check_budget(f"minimal_order_scan({k}, {prime_count})", *_primorial_scan_cost(prime_count))

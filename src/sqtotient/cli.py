@@ -165,18 +165,16 @@ def verify_command(suite, limit, max_enum, fmt, out, no_meta):
 
 @main.command("report")
 @click.argument(
-    "kind", type=click.Choice(["average", "constants", "minimal-order", "menon", "menon-mult"])
+    "kind", type=click.Choice(["average", "constants", "minimal-order", "menon"])
 )
 @click.option("-k", "--k", "k", type=POSITIVE, default=None, help="Tuple length (defaults per report kind).")
 @click.option("--xs", default=None, help="Comma-separated ascending range ends, e.g. 1000,10000.")
 @click.option("--tol", type=float, default=1e-9, show_default=True, help="Certified error bound for constants.")
 @click.option("--primes", "prime_count", type=POSITIVE, default=9, show_default=True, help="Primorial length for minimal-order.")
-@click.option("--experimental", is_flag=True, help="Allow even k in the minimal-order scan (data only).")
 @click.option("--nmax", type=POSITIVE, default=40, show_default=True, help="Largest modulus for the menon table.")
-@click.option("--bound", type=POSITIVE, default=60, show_default=True, help="Product bound for the multiplicativity scan.")
 @output_options
 @guard_errors
-def report_command(kind, k, xs, tol, prime_count, experimental, nmax, bound, fmt, out, no_meta):
+def report_command(kind, k, xs, tol, prime_count, nmax, fmt, out, no_meta):
     """Generate a machine-readable report (deterministic with --no-meta)."""
     meta = not no_meta
     if kind == "average":
@@ -206,29 +204,18 @@ def report_command(kind, k, xs, tol, prime_count, experimental, nmax, bound, fmt
         cells = (prime_count.bit_length(), 0.55 * averaging._primorial_bits(prime_count), 53)
         cost = _write_cost(prime_count - 2, cells, fmt, averaging._primorial_scan_cost(prime_count))
         _check_budget(f"report minimal-order of {prime_count} primes", *cost)
-        rows = averaging.minimal_order_scan(k or 1, prime_count, experimental=experimental)
+        rows = averaging.minimal_order_scan(k or 1, prime_count)
         records = [(i, n, ratio) for i, (n, ratio) in enumerate(rows, start=3)]
         _emit(records, ["primes", "primorial", "ratio"], fmt, meta, out)
         return
 
     k = k or 2
-    psi = menon._psi_bits(k, nmax if kind == "menon" else bound)
-    if kind == "menon":
-        bits = _mean_bits(k, nmax)
-        cells = (k.bit_length(), nmax.bit_length(), bits, bits, psi, 1)
-        cost = _write_cost(nmax, cells, fmt, menon._scan_cost(k, nmax))
-        _check_budget(f"report menon at k = {k}, n <= {nmax}", *cost)
-        rows = menon.psi_table(k, nmax)
-        _emit_dataclasses(rows, menon.MenonRow, fmt, meta, out)
-        return
-
-    pairs = menon._pairs(bound)
-    cells = (bound.bit_length(), bound.bit_length(), psi, psi, 1)
-    cost = _write_cost(pairs, cells, fmt, menon._scan_cost(k, bound, pairs))
-    _check_budget(f"report menon-mult at k = {k}, mn <= {bound}", *cost)
-    rows = menon.psi_multiplicativity_scan(k, bound)
-    records = [(r.m, r.n, r.separate, r.combined, r.equal) for r in rows]
-    _emit(records, ["m", "n", "psi_m_psi_n", "psi_mn", "equal"], fmt, meta, out)
+    bits = _mean_bits(k, nmax)
+    cells = (k.bit_length(), nmax.bit_length(), bits, bits, menon._psi_bits(k, nmax), 1)
+    cost = _write_cost(nmax, cells, fmt, menon._scan_cost(k, nmax))
+    _check_budget(f"report menon at k = {k}, n <= {nmax}", *cost)
+    rows = menon.psi_table(k, nmax)
+    _emit_dataclasses(rows, menon.MenonRow, fmt, meta, out)
 
 
 if __name__ == "__main__":

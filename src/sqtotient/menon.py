@@ -4,7 +4,8 @@ The classical identity sums gcd(j - 1, n) over the units j of Z/nZ and
 equals phi(n) d(n). Its square-sum analogue sums gcd(x_1^2+...+x_k^2 - 1, n)
 over tuples whose square sum is a unit; dividing by phi_k(n) yields a
 cofactor psi_k. Both the sum and phi_k split over the prime powers of n
-(Chinese remainder theorem), so psi_k is multiplicative.
+(Chinese remainder theorem), so psi_k is multiplicative; menon_lhs_brute,
+which sums over the residue census, is the check of that split.
 
 At an odd prime power psi_k has a closed form. A unit count
 rho(k, lam, p^e) depends only on the Legendre symbol of lam, and over the
@@ -12,10 +13,11 @@ units gcd(lam - 1, p^e) sums to (e + 1) phi(p^e) (Menon) and, weighted by
 that symbol, to e phi(p^e). So psi_k(p^e) = e + 1 for even k, and
 1 + e (1 + eps p^(-(k-1)/2)) for odd k with eps = (-1)^((p-1)(k-1)/4):
 an integer at every odd p^e for even k and for k = 1, and for odd k >= 3
-only when p^((k-1)/2) divides e. At p = 2 integrality is still data (the
-tables show integers at k = 2 and 4, a fraction at n = 4 for k = 6), so
-the scans emit psi_k as an exact rational (k = 1 reduces to the classical
-j^2 - 1 cofactor).
+only when p^((k-1)/2) divides e. At p = 2, when 4 | k every unit count
+mod 8 is 8^(k-1), so psi_k(2^e) = e + 1 and psi_k(n) = d(n) for every n;
+psi_2(2^e) = 2e; and psi_6(4) = 11/4 is not an integer. The table emits
+psi_k as an exact rational (k = 1 reduces to the classical j^2 - 1
+cofactor).
 
 The tuple sum is never enumerated on the main path: grouping tuples by
 their square sum lambda turns the n^k-term sum into the sum over units
@@ -29,8 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from math import gcd, log
+from math import gcd
 
 from .core_arith import Factorization, _check_budget, _mean_bits, as_factorization, divisor_count, euler_phi, factorize
 from .phi import phi_k
@@ -38,12 +39,10 @@ from .rho import _check_output_bits, _local_count, _prime_count, rho_base_vector
 
 __all__ = [
     "MenonRow",
-    "PsiScanRow",
     "menon_classic",
     "menon_lhs",
     "menon_lhs_brute",
     "psi_table",
-    "psi_multiplicativity_scan",
 ]
 
 @dataclass(frozen=True)
@@ -56,17 +55,6 @@ class MenonRow:
     phi_k: int
     psi: Fraction
     integral: bool
-
-
-@dataclass(frozen=True)
-class PsiScanRow:
-    """psi_k(m) psi_k(n) against psi_k(mn) for one coprime pair."""
-
-    m: int
-    n: int
-    separate: Fraction
-    combined: Fraction
-    equal: bool
 
 
 def menon_classic(n: int) -> tuple[int, int]:
@@ -168,19 +156,14 @@ def menon_lhs_brute(k: int, n: int) -> int:
     )
 
 
-def _pairs(bound: int) -> float:
-    # about the number of coprime pairs m <= n with mn <= bound (fitted)
-    return 0.35 * bound * log(bound) + 1
-
-
 def _psi_bits(k: int, bound: int) -> float:
     """About the bits of psi_k(n) for n <= bound, numerator and denominator together.
 
     For 4 | k, psi_k(n) = d(n) (every unit count mod 4 and mod 8 is then
-    4^(k-1) or 8^(k-1)), so psi_k(m) psi_k(n) = d(mn) has no more bits than
-    bound. For other even k the block at 2 has about k bits and the odd
-    blocks are e + 1. For odd k the block at p^e has denominator
-    p^((k-1)/2), so psi_k(n) has about as many bits as a gcd-sum.
+    4^(k-1) or 8^(k-1)), which has no more bits than bound. For other even
+    k the block at 2 has about k bits and the odd blocks are e + 1. For odd
+    k the block at p^e has denominator p^((k-1)/2), so psi_k(n) has about
+    as many bits as a gcd-sum.
     """
     if k % 4 == 0:
         return bound.bit_length()
@@ -189,17 +172,14 @@ def _psi_bits(k: int, bound: int) -> float:
     return _mean_bits(k, bound)
 
 
-def _scan_cost(k: int, bound: int, pairs: float = 0) -> tuple[float, float]:
-    """Predicted CPU seconds and bytes of psi_k at every n <= bound, plus ``pairs`` rows.
+def _scan_cost(k: int, bound: int) -> tuple[float, float]:
+    """Predicted CPU seconds and bytes of psi_k at every n <= bound.
 
     A modulus takes 1.5e-5 + 3.5e-10 B^1.4 s for B the mean bits of its gcd-sum
-    (fitted for k = 2 to 65536) and holds about B / 3 + 250 bytes; a pair
-    takes 5e-6 s and holds two psi values of P = ``_psi_bits`` bits, P / 8 +
-    100 bytes each.
+    (fitted for k = 2 to 65536) and holds about B / 3 + 250 bytes.
     """
     bits = _mean_bits(k, bound)
-    seconds = bound * (1.5e-5 + 3.5e-10 * bits**1.4) + 5e-6 * pairs
-    return seconds, bound * (bits / 3 + 250) + pairs * 2 * (_psi_bits(k, bound) / 8 + 100)
+    return bound * (1.5e-5 + 3.5e-10 * bits**1.4), bound * (bits / 3 + 250)
 
 
 def psi_table(k: int, n_max: int) -> list[MenonRow]:
@@ -218,32 +198,4 @@ def psi_table(k: int, n_max: int) -> list[MenonRow]:
         value = phi_k(k, f)
         psi = Fraction(lhs, value)
         rows.append(MenonRow(k=k, n=n, lhs=lhs, phi_k=value, psi=psi, integral=psi.denominator == 1))
-    return rows
-
-
-def psi_multiplicativity_scan(k: int, bound: int) -> list[PsiScanRow]:
-    """Compare psi_k(m) psi_k(n) with psi_k(mn) over coprime pairs.
-
-    Emits every pair 1 <= m <= n with gcd(m, n) = 1 and mn <= bound, in
-    lexicographic order. psi_k is multiplicative for every k (both the
-    gcd-sum and phi_k split over prime powers), so any mismatch is an
-    internal error.
-    """
-    if k < 1:
-        raise ValueError(f"tuple length must be >= 1, got {k}")
-    if bound < 1:
-        raise ValueError(f"bound must be >= 1, got {bound}")
-    _check_budget(f"psi_multiplicativity_scan({k}, {bound})", *_scan_cost(k, bound, _pairs(bound)))
-    psi = cache(lambda n: Fraction(menon_lhs(k, n), phi_k(k, n)))
-    rows = []
-    for m in range(1, bound + 1):
-        for n in range(m, bound // m + 1):
-            if gcd(m, n) != 1:
-                continue
-            separate = psi(m) * psi(n)
-            combined = psi(m * n)
-            equal = separate == combined
-            if not equal:
-                raise ArithmeticError(f"psi_{k} failed multiplicativity at ({m}, {n})")
-            rows.append(PsiScanRow(m=m, n=n, separate=separate, combined=combined, equal=equal))
     return rows

@@ -16,7 +16,6 @@ from sqtotient import (
     menon_classic,
     minimal_order_scan,
     phi_k,
-    psi_multiplicativity_scan,
     psi_table,
     rho,
     rho_base_vector,
@@ -24,6 +23,7 @@ from sqtotient import (
     sum_of_squares_census,
 )
 from sqtotient.averaging import partial_sum
+from sqtotient.menon import menon_lhs_brute
 from sqtotient.phi import phi_k_brute, phi_k_via_rho
 from sqtotient.rho import closed_form_rho2, closed_form_rho4, rho_brute, trig_closed_form_rho8
 
@@ -181,22 +181,17 @@ def test_criterion_08_menon_classic():
 
 def test_criterion_09_menon_generalization_report():
     started = time.time()
-    value = psi_table(2, 3)[2]
-    scan = psi_multiplicativity_scan(2, 60)
-    expected_pairs = sum(
-        1
-        for m in range(1, 61)
-        for n in range(m, 60 // m + 1)
-        if gcd(m, n) == 1
-    )
-    ok = value.psi == Fraction(2) and len(scan) == expected_pairs
-    # conjecture regime: rows are emitted, integrality is never asserted
+    rows = psi_table(2, 60)
+    oracle = {n: Fraction(menon_lhs_brute(2, n), phi_k_brute(2, n)) for n in range(1, 61)}
+    wrong = [row.n for row in rows if row.psi != oracle[row.n]]
+    pairs = [(m, n) for m in range(1, 61) for n in range(m, 60 // m + 1) if gcd(m, n) == 1]
+    unsplit = [(m, n) for m, n in pairs if oracle[m * n] != oracle[m] * oracle[n]]
     _conclude(
         9,
-        "psi_2(3) = 2 exactly; multiplicativity scan at bound 60 emits the full report",
-        ok,
+        "psi_table(2, 60) equals the census gcd-sum over phi_2, and that ratio is multiplicative for mn <= 60",
+        len(rows) == 60 and not wrong and not unsplit,
         started,
-        f"{len(scan)} pairs, {sum(1 for r in scan if r.equal)} equal",
+        f"{len(rows)} rows, {len(pairs)} coprime pairs; wrong at n = {wrong}, not split at {unsplit}",
     )
 
 

@@ -451,7 +451,7 @@ class TestMinimalOrder:
         # Fraction, with log log n taken from the primorial itself
         primes = primes_upto(15 * 300)[:300]
         for k in (1, 2, 3):
-            rows = minimal_order_scan(k, 300, experimental=True)
+            rows = minimal_order_scan(k, 300)
             scaled, primorial, expected = Fraction(1), 1, []
             with mp.workdps(30):
                 for count, p in enumerate(primes, start=1):
@@ -469,11 +469,12 @@ class TestMinimalOrder:
             expected = euler_phi(n) / n * math.log(math.log(n))
             assert ratio == pytest.approx(expected, rel=1e-9)
 
-    def test_even_k_needs_experimental_flag(self):
-        with pytest.raises(ValueError):
-            minimal_order_scan(2, 5)
-        rows = minimal_order_scan(2, 5, experimental=True)
-        assert len(rows) == 3
+    def test_even_k_emits_data(self):
+        # no limit is stated for even k, so the scan just emits its ratios
+        rows = minimal_order_scan(2, 5)
+        assert [n for n, _ in rows] == [30, 210, 2310]
+        for n, ratio in rows:
+            assert ratio == pytest.approx(phi_k(2, n) / n**2 * math.log(math.log(n)), rel=1e-12)
 
     def test_budget(self, admitted):
         # the rows hold every primorial: 22,097 of them fill the 500 MB budget
@@ -493,7 +494,7 @@ class TestMinimalOrder:
         with pytest.raises(BudgetExceededError, match="output bit length of minimal_order_scan"):
             minimal_order_scan(2**63 - 1, 3)
         with pytest.raises(BudgetExceededError, match="output bit length of minimal_order_scan"):
-            minimal_order_scan(2**63 - 2, 3, experimental=True)
+            minimal_order_scan(2**63 - 2, 3)
 
 
 class TestSpfCeiling:

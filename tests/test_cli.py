@@ -309,17 +309,19 @@ class TestReportCommand:
                 assert row["tail_bound"] <= float(tol)
                 assert abs(row["value"] - coarse[form]["value"]) <= coarse[form]["tail_bound"]
 
-    def test_minimal_order_even_k_guarded(self, runner):
-        assert run(runner, "report", "minimal-order", "-k", "2").exit_code == 2
-        ok = run(runner, "report", "minimal-order", "-k", "2", "--experimental", "--no-meta")
-        assert ok.exit_code == 0
+    def test_minimal_order_even_k_answers(self, runner):
+        result = run(runner, "report", "minimal-order", "-k", "2", "--format", "csv", "--no-meta")
+        assert result.exit_code == 0
+        rows = list(csv.reader(io.StringIO(result.output)))
+        assert rows[0] == ["primes", "primorial", "ratio"]
+        assert [row[1] for row in rows[1:]] == [str(n) for n, _ in averaging.minimal_order_scan(2, 9)]
 
     def test_minimal_order_output_size_guard(self, runner):
         huge = str(2**63 - 1)
         result = run(runner, "report", "minimal-order", "-k", huge, "--primes", "3")
         assert result.exit_code == 3
         assert "output bit length" in result.output
-        even = run(runner, "report", "minimal-order", "-k", str(2**63 - 2), "--primes", "3", "--experimental")
+        even = run(runner, "report", "minimal-order", "-k", str(2**63 - 2), "--primes", "3")
         assert even.exit_code == 3
 
     def test_menon_table(self, runner):
@@ -328,18 +330,13 @@ class TestReportCommand:
         assert rows[0] == ["k", "n", "lhs", "phi_k", "psi", "integral"]
         assert rows[3] == ["2", "3", "16", "8", "2", "true"]
 
-    def test_menon_mult_scan(self, runner):
-        result = run(runner, "report", "menon-mult", "-k", "2", "--bound", "20", "--format", "json", "--no-meta")
-        document = json.loads(result.output)
-        assert all(set(row) == {"m", "n", "psi_m_psi_n", "psi_mn", "equal"} for row in document["rows"])
-
     @pytest.mark.parametrize(
         "kind, option, largest",
-        [("menon", "--nmax", 198_508), ("menon-mult", "--bound", 77_670)],
-        ids=["menon---nmax", "menon-mult---bound"],
+        [("menon", "--nmax", 198_508)],
+        ids=["menon---nmax"],
     )
     def test_menon_bound_cap_exit_code(self, runner, admitted, kind, option, largest):
-        # plain text at k = 2: the scan and the writing of its rows priced together
+        # plain text at k = 2: the table and the writing of its rows priced together
         args = ["report", kind, "-k", "2", option]
         assert admitted(cli, lambda: main([*args, str(largest)], standalone_mode=False))
         assert not admitted(cli, lambda: main([*args, str(largest + 1)], standalone_mode=False))
@@ -361,14 +358,6 @@ class TestReportCommand:
         assert result.exit_code == 3
         assert "CPU milliseconds of report menon at k = 1000, n <= 5938 (predicted 4 s of CPU" in result.output
 
-    def test_menon_mult_prices_psi_at_odd_k(self, admitted):
-        # each pair row holds two psi values, as long as a gcd-sum at odd k:
-        # k = 1001 stops at 3,003 (priced at k bits, 15,934 was admitted and
-        # 8,000 took 7.8-8.4 s of CPU)
-        args = ["report", "menon-mult", "-k", "1001", "--bound"]
-        assert admitted(cli, lambda: main([*args, "3003"], standalone_mode=False))
-        assert not admitted(cli, lambda: main([*args, "3004"], standalone_mode=False))
-
 
 # Every integer option of every subcommand, with arguments that are valid
 # without it; the option is appended, so its value overrides any default.
@@ -389,7 +378,7 @@ INT_OPTIONS = [
 class TestIntegerContract:
     def test_every_subcommand_is_covered(self):
         assert set(BASE_ARGS) == set(main.commands)
-        assert len(INT_OPTIONS) == 12
+        assert len(INT_OPTIONS) == 11
 
     @pytest.mark.parametrize(
         "name, param", INT_OPTIONS, ids=[f"{name} {param.opts[0]}" for name, param in INT_OPTIONS]
@@ -472,11 +461,10 @@ class TestOutputContract:
         [
             (cli, ["phi", "-k", "8", "--range", "1453233"]),
             (cli, ["report", "menon", "-k", "2", "--nmax", "198509"]),
-            (cli, ["report", "menon-mult", "-k", "3", "--bound", "77583"]),
             (cli, ["report", "minimal-order", "-k", "3", "--primes", "3801"]),
             (averaging, ["report", "average", "-k", "8", "--xs", "6893383"]),
         ],
-        ids=["phi --range", "report menon", "report menon-mult", "report minimal-order", "report average"],
+        ids=["phi --range", "report menon", "report minimal-order", "report average"],
     )
     def test_refusal_leaves_out_untouched(self, runner, admitted, tmp_path, module, args):
         # each command's first refused input, in plain text; one less is admitted

@@ -1,4 +1,4 @@
-"""Gcd-sum identities and the candidate cofactor scans."""
+"""Gcd-sum identities and the cofactor table."""
 
 import sys
 import tracemalloc
@@ -13,13 +13,13 @@ from sqtotient import (
     menon_classic,
     menon_lhs,
     phi_k,
-    psi_multiplicativity_scan,
     psi_table,
     rho,
 )
 from sqtotient import verify
 from sqtotient.core_arith import divisor_count, euler_phi
 from sqtotient.menon import _gcd_sum_block, _psi_bits, menon_lhs_brute
+from sqtotient.phi import phi_k_brute
 
 MENON = sys.modules["sqtotient.menon"]
 
@@ -142,24 +142,33 @@ class TestPsiTable:
             assert row.phi_k == phi_k(row.k, row.n)
 
     def test_bound_cap_refuses_before_any_work(self, admitted):
-        # about 1.5e-5 s a modulus at k = 2, and 5e-6 s more a coprime pair
+        # about 1.5e-5 s a modulus at k = 2
         assert admitted(MENON, lambda: psi_table(2, 265_832))
         assert not admitted(MENON, lambda: psi_table(2, 265_833))
-        assert admitted(MENON, lambda: psi_multiplicativity_scan(2, 112_983))
-        assert not admitted(MENON, lambda: psi_multiplicativity_scan(2, 112_984))
-        for scan in (psi_table, psi_multiplicativity_scan):
-            with pytest.raises(BudgetExceededError, match=rf"{scan.__name__}\(2, {2**63 - 1}\) \(predicted"):
-                scan(2, 2**63 - 1)
+        with pytest.raises(BudgetExceededError, match=rf"psi_table\(2, {2**63 - 1}\) \(predicted"):
+            psi_table(2, 2**63 - 1)
 
     def test_work_cap_weighs_k(self, admitted):
         # a modulus costs 3.5e-10 s x B^1.4 more for B about k log2(n) bits
-        for k, table, scan in ((64, 192_386, 98_905), (1000, 18_939, 17_684), (65536, 169, 169)):
+        for k, table in ((64, 192_386), (1000, 18_939), (65536, 169)):
             assert admitted(MENON, lambda: psi_table(k, table)), k
             assert not admitted(MENON, lambda: psi_table(k, table + 1)), k
-            assert admitted(MENON, lambda: psi_multiplicativity_scan(k, scan)), k
-            assert not admitted(MENON, lambda: psi_multiplicativity_scan(k, scan + 1)), k
         with pytest.raises(BudgetExceededError, match=r"CPU milliseconds of psi_table\(65536, 170\)"):
             psi_table(65536, 170)
+
+    def test_psi_is_the_divisor_count_when_4_divides_k(self):
+        # every unit count mod 8 is then 8^(k-1), so psi_k(2^e) = e + 1, as at
+        # odd prime powers; menon._psi_bits prices report menon by this fact
+        for k in (4, 8, 12, 64, 1000):
+            assert [row.psi for row in psi_table(k, 300)] == [divisor_count(n) for n in range(1, 301)], k
+        for k in (4, 8):
+            for n in range(1, 42):
+                if n**k <= 3 * 10**6:
+                    assert Fraction(menon_lhs_brute(k, n), phi_k_brute(k, n)) == divisor_count(n), (k, n)
+        # it needs 4 | k: psi_2(2^e) = 2e, and psi_6(4) is not an integer
+        for e in range(1, 13):
+            assert Fraction(menon_lhs(2, 2**e), phi_k(2, 2**e)) == 2 * e, e
+        assert Fraction(menon_lhs(6, 4), phi_k(6, 4)) == Fraction(11, 4)
 
     @pytest.mark.parametrize("k", [3, 5, 999, 1001])
     def test_psi_priced_at_its_size_for_odd_k(self, k):
@@ -174,31 +183,3 @@ class TestPsiTable:
         for row in psi_table(1, 60):
             assert row.psi == Fraction(row.lhs, euler_phi(row.n))
 
-
-class TestMultiplicativityScan:
-    def test_classic_case_asserts(self):
-        rows = psi_multiplicativity_scan(1, 60)
-        assert all(row.equal for row in rows)
-
-    def test_every_k_is_multiplicative(self):
-        for k in (2, 3, 4, 5):
-            rows = psi_multiplicativity_scan(k, 200)
-            assert len(rows) == 401 and all(row.equal for row in rows)
-
-    def test_trivial_pairs(self):
-        rows = psi_multiplicativity_scan(2, 12)
-        for row in rows:
-            if row.m == 1:
-                assert row.equal
-
-    def test_deterministic_lexicographic_order(self):
-        rows = psi_multiplicativity_scan(2, 30)
-        keys = [(row.m, row.n) for row in rows]
-        assert keys == sorted(keys)
-        assert all(row.m <= row.n for row in rows)
-
-    def test_emits_exact_rationals(self):
-        for row in psi_multiplicativity_scan(2, 24):
-            assert isinstance(row.separate, Fraction)
-            assert isinstance(row.combined, Fraction)
-            assert row.equal == (row.separate == row.combined)
